@@ -649,17 +649,14 @@ def _apply_registry(
 def _apply_checkpoint(
     root: Path, actions: list[RepairAction], rebuilder: Rebuilder | None
 ) -> None:
-    from repro.jobs.checkpoint import (
-        KIND_HEADER,
-        decode_journal_line,
-        repair_torn_tail,
-    )
+    from repro.jobs.checkpoint import KIND_HEADER, scan_journal
     from repro.store.atomic import atomic_write_text
+    from repro.store.envelope import truncate_torn_tail
 
     for action in actions:
         journal = Path(action.path)
         if action.action == "truncate-tail":
-            repaired = repair_torn_tail(journal)
+            repaired = truncate_torn_tail(journal)
             action.status = "applied"
             action.result = (
                 "torn tail truncated" if repaired else "tail already clean"
@@ -670,42 +667,29 @@ def _apply_checkpoint(
             action.status = "applied"
             action.result = f"journal moved to {corrupt.name}"
         elif action.action == "compact-journal":
-            text = journal.read_text("utf-8", errors="replace")
-            lines = text.splitlines()
-            ends_with_newline = text.endswith("\n")
+            lines = scan_journal(journal)
             kept: list[str] = []
             seen_header = False
             seen_indices: set[int] = set()
             dropped = 0
-            for number, line in enumerate(lines, start=1):
-                if not line.strip():
-                    continue
-                record = decode_journal_line(line)
+            for position, line in enumerate(lines):
+                record = line.record
                 if record is None:
-                    is_tail = number == len(lines) and not ends_with_newline
-                    dropped += 1
-                    if is_tail:
-                        continue
                     # Mid-file corruption ends the trusted prefix: later
                     # records (valid or not) stay only in the .corrupt copy.
-                    dropped += sum(
-                        1 for later in lines[number:] if later.strip()
-                    )
+                    dropped += len(lines) - position
                     break
                 if record.get("kind") == KIND_HEADER:
                     if seen_header:
                         dropped += 1
                         continue
                     seen_header = True
-                    kept.append(line)
+                elif record["index"] in seen_indices:
+                    dropped += 1
                     continue
-                index = record.get("index")
-                if isinstance(index, int):
-                    if index in seen_indices:
-                        dropped += 1
-                        continue
-                    seen_indices.add(index)
-                kept.append(line)
+                else:
+                    seen_indices.add(record["index"])
+                kept.append(line.text)
             shutil.copy2(journal, journal.with_name(journal.name + ".corrupt"))
             atomic_write_text(
                 journal, "\n".join(kept) + ("\n" if kept else "")
@@ -722,26 +706,17 @@ def _apply_cassette(
 ) -> None:
     from repro.providers.cassette import (
         load_cassette,
-        parse_cassette_line,
         persist_cassette_report,
+        scan_cassette,
     )
     from repro.store.atomic import atomic_write_text
 
     for action in actions:
         cassette = Path(action.path)
         if action.action == "compact-cassette":
-            text = cassette.read_text("utf-8", errors="replace")
-            kept = []
-            dropped = 0
-            for line in text.splitlines():
-                if not line.strip():
-                    continue
-                try:
-                    parse_cassette_line(line)
-                except ValueError:
-                    dropped += 1
-                    continue
-                kept.append(line)
+            lines = scan_cassette(cassette)
+            kept = [line.text for line in lines if line.damage is None]
+            dropped = len(lines) - len(kept)
             shutil.copy2(cassette, cassette.with_name(cassette.name + ".corrupt"))
             atomic_write_text(
                 cassette, "\n".join(kept) + ("\n" if kept else "")

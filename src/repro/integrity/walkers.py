@@ -8,9 +8,10 @@ anything; that is the repair planner's job — so a scan is always safe to
 run against a live store.
 
 Detection reuses the formats' own verification primitives (the store's
-``verify_snapshot``, the journal's line decoder, the cassette's envelope
-parser) rather than re-implementing them: what the loader would refuse
-to serve is exactly what the walker reports.
+``verify_snapshot``, and for the journal and cassettes the line scanner
+of :mod:`repro.store.envelope` with each format's record check) rather
+than re-implementing them: what the loader would refuse to serve is
+exactly what the walker reports.
 """
 
 from __future__ import annotations
@@ -391,7 +392,7 @@ def walk_checkpoint(path: str | Path) -> IntegrityReport:
     every later record, valid or not, is unserveable) and reports
     duplicate headers the reader silently ignores.
     """
-    from repro.jobs.checkpoint import JOURNAL_NAME, KIND_HEADER, decode_journal_line
+    from repro.jobs.checkpoint import JOURNAL_NAME, KIND_HEADER, scan_journal
 
     path = Path(path)
     journal = path / JOURNAL_NAME if path.is_dir() else path
@@ -401,23 +402,16 @@ def walk_checkpoint(path: str | Path) -> IntegrityReport:
     if not journal.exists():
         return report
 
-    text = journal.read_text("utf-8", errors="replace")
-    lines = text.splitlines()
-    ends_with_newline = text.endswith("\n")
+    lines = scan_journal(journal)
     headers = 0
     seen_indices: set[int] = set()
-    bad_lines: list[int] = []  # 1-based
     records = 0
-    for number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        record = decode_journal_line(line)
+    for line in lines:
+        number, record = line.number, line.record
         if record is None:
-            bad_lines.append(number)
             continue
         records += 1
-        kind = record.get("kind")
-        if kind == KIND_HEADER:
+        if record.get("kind") == KIND_HEADER:
             headers += 1
             if headers > 1:
                 report.add(
@@ -434,11 +428,7 @@ def walk_checkpoint(path: str | Path) -> IntegrityReport:
                     )
                 )
             continue
-        index = record.get("index")
-        if not isinstance(index, int):
-            bad_lines.append(number)
-            records -= 1
-            continue
+        index = record["index"]
         if index in seen_indices:
             report.add(
                 Finding(
@@ -457,10 +447,10 @@ def walk_checkpoint(path: str | Path) -> IntegrityReport:
         seen_indices.add(index)
     report.count("journal_records", records)
 
-    tail_line = len(lines)
-    for number in bad_lines:
-        is_tail = number == tail_line and not ends_with_newline
-        if is_tail:
+    for line in lines:
+        if line.record is not None:
+            continue
+        if line.torn:
             report.add(
                 Finding(
                     family="checkpoint",
@@ -471,7 +461,7 @@ def walk_checkpoint(path: str | Path) -> IntegrityReport:
                     detail="final line cut mid-append by a crash; "
                     "truncating to the last complete record restores "
                     "the journal",
-                    subject=f"line {number}",
+                    subject=f"line {line.number}",
                     repairable=True,
                 )
             )
@@ -479,16 +469,14 @@ def walk_checkpoint(path: str | Path) -> IntegrityReport:
             report.add(
                 Finding(
                     family="checkpoint",
-                    kind=KIND_HASH_MISMATCH
-                    if number < tail_line
-                    else KIND_TORN_TAIL,
+                    kind=KIND_TORN_TAIL if line is lines[-1] else KIND_HASH_MISMATCH,
                     severity=Severity.ERROR,
                     path=str(journal),
                     root=root,
-                    detail=f"line {number} fails its checksum mid-file; "
+                    detail=f"line {line.number} fails its checksum mid-file; "
                     "the trusted prefix ends here and every later record "
                     "is re-executed on resume",
-                    subject=f"line {number}",
+                    subject=f"line {line.number}",
                     repairable=True,  # compact to the trusted prefix
                 )
             )
@@ -518,7 +506,12 @@ def walk_checkpoint(path: str | Path) -> IntegrityReport:
 def walk_cassette(path: str | Path) -> IntegrityReport:
     """Scan one cassette's JSONL envelopes, cross-checked with the damage
     sidecar its last real load persisted (if any)."""
-    from repro.providers.cassette import parse_cassette_line, sidecar_path
+    from repro.providers.cassette import (
+        DIGEST_MISMATCH,
+        scan_cassette,
+        sidecar_path,
+    )
+    from repro.store.envelope import CHECKSUM
 
     path = Path(path)
     root = str(path)
@@ -527,40 +520,31 @@ def walk_cassette(path: str | Path) -> IntegrityReport:
     if not path.exists():
         return report
 
-    text = path.read_text("utf-8", errors="replace")
-    lines = text.splitlines()
-    ends_with_newline = text.endswith("\n")
     damaged = 0
-    for number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+    for line in scan_cassette(path):
         report.count("cassette_lines")
-        try:
-            parse_cassette_line(line)
-        except ValueError as exc:
-            damaged += 1
-            is_tail = number == len(lines) and not ends_with_newline
-            if is_tail:
-                kind, severity = KIND_TORN_TAIL, Severity.WARN
-            elif "checksum mismatch" in str(exc):
-                kind, severity = KIND_HASH_MISMATCH, Severity.WARN
-            elif "digest does not match" in str(exc):
-                kind, severity = KIND_CROSS_REF, Severity.WARN
-            else:
-                kind, severity = KIND_FORMAT, Severity.WARN
-            report.add(
-                Finding(
-                    family="cassette",
-                    kind=kind,
-                    severity=severity,
-                    path=root,
-                    root=root,
-                    detail=f"line {number}: {exc}; replay skips it "
-                    "(the cassette degrades, it never crashes)",
-                    subject=f"line {number}",
-                    repairable=True,
-                )
+        if line.damage is None:
+            continue
+        damaged += 1
+        if line.torn:
+            kind = KIND_TORN_TAIL
+        else:
+            kind = {CHECKSUM: KIND_HASH_MISMATCH, DIGEST_MISMATCH: KIND_CROSS_REF}.get(
+                line.damage.kind, KIND_FORMAT
             )
+        report.add(
+            Finding(
+                family="cassette",
+                kind=kind,
+                severity=Severity.WARN,
+                path=root,
+                root=root,
+                detail=f"line {line.number}: {line.damage.reason}; replay "
+                "skips it (the cassette degrades, it never crashes)",
+                subject=f"line {line.number}",
+                repairable=True,
+            )
+        )
 
     side = sidecar_path(path)
     if side.exists():

@@ -2,9 +2,9 @@
 
 One journal file (``journal.jsonl``) per job: a header record naming the
 question list and model identity, then one record per completed query in
-completion order.  Every line is a self-checking envelope —
-``{"sha256": <hex>, "record": {...}}`` with the digest taken over the
-canonical JSON of the record — appended through
+completion order.  Every line is the self-checking envelope of
+:mod:`repro.store.envelope` — ``{"sha256": <hex>, "record": {...}}`` with
+the digest taken over the canonical JSON of the record — appended through
 :func:`repro.store.atomic.append_durable_line` (write + flush + fsync), so
 a kill can lose at most the record being appended.
 
@@ -35,7 +35,6 @@ uninterrupted run's.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,6 +43,14 @@ from typing import IO
 from repro.core.metrics import PipelineMetrics
 from repro.core.verify import Verdict
 from repro.store.atomic import StepHook, append_durable_line, fsync_dir
+from repro.store.envelope import (
+    MISSING_FIELDS,
+    Damage,
+    ScannedLine,
+    encode,
+    scan,
+    truncate_torn_tail,
+)
 
 JOURNAL_NAME = "journal.jsonl"
 JOURNAL_VERSION = 1
@@ -56,91 +63,21 @@ KIND_STALL = "stall"  # StallOutcome trace (watchdog replacement)
 KIND_SHED = "shed"  # ShedOutcome trace (refused by admission control)
 
 
-def _canonical(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
 def questions_digest(questions: list[str]) -> str:
     """The digest binding a journal header to its question suite."""
     return hashlib.sha256("\n".join(questions).encode("utf-8")).hexdigest()
 
 
-def _truncate_torn_tail(path: Path) -> bool:
-    """Truncate a torn (newline-less) final line left by a crash.
-
-    Reopening in append mode without this would coalesce the next record
-    onto the torn fragment, making that line unreadable — and, since
-    recovery is prefix-based, silently untrusting every record appended
-    after the reopen.  Returns True when a tear was repaired.
-    """
-    with open(path, "rb+") as handle:
-        handle.seek(0, os.SEEK_END)
-        size = handle.tell()
-        if size == 0:
-            return False
-        handle.seek(size - 1)
-        if handle.read(1) == b"\n":
-            return False
-        # Scan backwards for the last newline; everything after it is the
-        # torn fragment a kill left mid-append.
-        keep = 0
-        pos = size
-        chunk = 4096
-        while pos > 0:
-            start = max(0, pos - chunk)
-            handle.seek(start)
-            data = handle.read(pos - start)
-            cut = data.rfind(b"\n")
-            if cut != -1:
-                keep = start + cut + 1
-                break
-            pos = start
-        handle.truncate(keep)
-        handle.flush()
-        os.fsync(handle.fileno())
-    return True
+def _check_record(record: dict) -> Damage | None:
+    if record.get("kind") != KIND_HEADER and not isinstance(record.get("index"), int):
+        return Damage(MISSING_FIELDS, "record has no integer index")
+    return None
 
 
-def repair_torn_tail(path: str | Path) -> bool:
-    """Public seam for the integrity repair planner: truncate a torn
-    final line in place (see :func:`_truncate_torn_tail`).  Returns True
-    when a tear was found and repaired."""
-    return _truncate_torn_tail(Path(path))
-
-
-def journal_line(record: dict) -> str:
-    """Envelope one record as a self-checking journal line."""
-    payload = _canonical(record)
-    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-    return json.dumps(
-        {"sha256": digest, "record": record},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-
-
-def _decode_line(line: str) -> dict | None:
-    """The record carried by ``line``, or None if torn/corrupt."""
-    try:
-        envelope = json.loads(line)
-    except json.JSONDecodeError:
-        return None
-    if not isinstance(envelope, dict):
-        return None
-    record = envelope.get("record")
-    digest = envelope.get("sha256")
-    if not isinstance(record, dict) or not isinstance(digest, str):
-        return None
-    payload = _canonical(record)
-    if hashlib.sha256(payload.encode("utf-8")).hexdigest() != digest:
-        return None
-    return record
-
-
-def decode_journal_line(line: str) -> dict | None:
-    """Public seam for the integrity walkers: the record carried by one
-    journal line, or ``None`` when the line is torn or corrupt."""
-    return _decode_line(line)
+def scan_journal(path: str | Path) -> list[ScannedLine]:
+    """Every non-blank journal line, decoded; a result record without an
+    integer index counts as damaged (see :func:`repro.store.envelope.scan`)."""
+    return scan(path, _check_record)
 
 
 @dataclass(slots=True)
@@ -174,29 +111,21 @@ def read_journal(path: str | Path) -> JournalRecovery:
     path = Path(path)
     if not path.exists():
         return recovery
-    with open(path, "r", encoding="utf-8", errors="replace") as handle:
-        for line in handle:
-            stripped = line.strip()
-            if not stripped:
-                continue
-            record = _decode_line(stripped)
-            if record is None:
-                recovery.torn_tail = True
-                break
-            recovery.records_read += 1
-            kind = record.get("kind")
-            if kind == KIND_HEADER:
-                if recovery.header is None:
-                    recovery.header = record
-                continue
-            index = record.get("index")
-            if not isinstance(index, int):
-                recovery.torn_tail = True
-                break
-            if index in recovery.completed:
-                recovery.duplicates += 1
-                continue
-            recovery.completed[index] = record
+    for line in scan_journal(path):
+        record = line.record
+        if record is None:
+            recovery.torn_tail = True
+            break
+        recovery.records_read += 1
+        if record.get("kind") == KIND_HEADER:
+            if recovery.header is None:
+                recovery.header = record
+            continue
+        index = record["index"]
+        if index in recovery.completed:
+            recovery.duplicates += 1
+            continue
+        recovery.completed[index] = record
     return recovery
 
 
@@ -241,10 +170,10 @@ class CheckpointJournal:
     """Writer half of the journal: fsync'd appends, one open handle.
 
     Opening an existing journal repairs a torn tail first (see
-    :func:`_truncate_torn_tail`); :attr:`repaired_tail` records whether a
-    tear was found.  Not thread-safe by itself — the :class:`~repro.jobs.runner.JobRunner`
-    serializes appends under its commit lock, which also pins the record
-    order for a single-worker run.
+    :func:`~repro.store.envelope.truncate_torn_tail`); :attr:`repaired_tail`
+    records whether a tear was found.  Not thread-safe by itself — the
+    :class:`~repro.jobs.runner.JobRunner` serializes appends under its
+    commit lock, which also pins the record order for a single-worker run.
     """
 
     def __init__(
@@ -261,7 +190,7 @@ class CheckpointJournal:
         self.records_written = 0
         self.directory.mkdir(parents=True, exist_ok=True)
         existed = self.path.exists()
-        self.repaired_tail = existed and _truncate_torn_tail(self.path)
+        self.repaired_tail = existed and truncate_torn_tail(self.path)
         self._handle: IO[str] = open(self.path, "a", encoding="utf-8")
         if not existed:
             # Make the (empty) journal itself durable before any record,
@@ -306,7 +235,7 @@ class CheckpointJournal:
     def _append(self, record: dict, *, label: str) -> None:
         append_durable_line(
             self._handle,
-            journal_line(record),
+            encode(record),
             fsync=self.fsync,
             step=self._step,
             label=label,

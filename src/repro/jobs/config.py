@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.jobs.admission import check_admission_bounds
+
 
 @dataclass(slots=True)
 class JobConfig:
@@ -23,13 +25,13 @@ class JobConfig:
     """
 
     max_workers: int | None = None  # None: min(DEFAULT_BATCH_WORKERS, n)
-    # Admission queue bound: at most this many queries admitted-but-not-
+    # Admission bound: at most this many queries admitted-but-not-
     # completed at once.  Batch feeding blocks (backpressure) at the
     # bound, unless shed_above converts the overflow to an answer first.
     max_pending: int = 64
     # Load shedding: once the pending depth reaches this, further queries
     # are refused and recorded as ShedOutcome UNKNOWNs instead of
-    # blocking.  Must be <= max_pending (validated below), so a set
+    # blocking.  Must be <= max_pending (check_admission_bounds), so a set
     # threshold always fires before the blocking bound — admission then
     # never blocks.  None disables shedding entirely: admission only
     # ever blocks (pure backpressure), nothing is shed.
@@ -60,18 +62,9 @@ class JobConfig:
     def __post_init__(self) -> None:
         if self.max_workers is not None and self.max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        if self.max_pending < 1:
-            raise ValueError("max_pending must be >= 1")
+        check_admission_bounds(self.max_pending, self.shed_above)
         if self.watchdog_interval is not None and self.watchdog_interval <= 0:
             raise ValueError("watchdog_interval must be > 0")
-        if self.shed_above is not None and self.shed_above < 1:
-            raise ValueError("shed_above must be >= 1")
-        if self.shed_above is not None and self.shed_above > self.max_pending:
-            raise ValueError(
-                "shed_above must be <= max_pending (the shed threshold "
-                "must fire before the blocking bound, or a pending depth "
-                "between the two would block instead of shedding)"
-            )
         if self.stall_after is not None and self.stall_after <= 0:
             raise ValueError("stall_after must be > 0")
         if self.query_timeout is not None and self.query_timeout <= 0:

@@ -11,11 +11,12 @@ runner adds the three supervision layers a long-running audit needs:
   cancelled, its worker replaced, and its slot filled with a structured
   UNKNOWN (:class:`StallOutcome` carrying a
   :class:`~repro.jobs.watchdog.StallReport`) — never a silent hang;
-* **admission** — a bounded queue (:class:`AdmissionQueue`): batch feeding
-  blocks at ``max_pending`` (backpressure); with
-  :attr:`~repro.jobs.config.JobConfig.shed_above` set, overflow queries
-  are *shed* to an immediate UNKNOWN (:class:`ShedOutcome`) instead of
-  queued without bound;
+* **admission** — every query passes an
+  :class:`~repro.jobs.admission.AdmissionGate` before a plain queue hands
+  it to a worker: batch feeding blocks at ``max_pending`` (backpressure);
+  with :attr:`~repro.jobs.config.JobConfig.shed_above` set, overflow
+  queries are *shed* to an immediate UNKNOWN (:class:`ShedOutcome`)
+  instead of queued without bound;
 * **durability** — completed outcomes stream into the append-only
   checkpoint journal (:mod:`repro.jobs.checkpoint`); after a crash,
   :meth:`JobRunner.resume` restores every committed result and re-executes
@@ -30,10 +31,10 @@ converted into per-query errors — they abort the job and propagate.
 
 from __future__ import annotations
 
+import queue
 import signal
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -47,6 +48,7 @@ from repro.core.pipeline import (
 )
 from repro.core.verify import Verdict
 from repro.errors import JobError
+from repro.jobs.admission import AdmissionGate
 from repro.jobs.checkpoint import (
     JOURNAL_NAME,
     KIND_ERROR,
@@ -154,110 +156,6 @@ class ShedOutcome:
 JobOutcome = (
     QueryOutcome | ErrorOutcome | StallOutcome | ShedOutcome | CheckpointedOutcome
 )
-
-
-class AdmissionQueue:
-    """Bounded work queue with backpressure and optional load shedding.
-
-    ``pending`` counts queries admitted but not yet *completed* (queued
-    plus in-flight), so the bound limits live memory, not just queue
-    length.  Blocked admits sleep on the condition variable until queue
-    activity — or an explicit :meth:`wake` — lets them re-check; a stop
-    flag flipped by :meth:`~JobRunner.request_drain` is therefore
-    observed immediately, not on the next poll tick.
-
-    The condition is backed by an ``RLock`` so :meth:`wake` is safe even
-    from a signal handler that interrupts the owning (main) thread while
-    it holds the lock inside :meth:`admit`: the re-entrant acquire
-    succeeds where a plain lock would deadlock against itself.
-    """
-
-    def __init__(self, max_pending: int, *, shed_above: int | None = None) -> None:
-        if shed_above is not None and not (1 <= shed_above <= max_pending):
-            raise ValueError(
-                "shed_above must be in [1, max_pending]: the shed "
-                "threshold has to fire before the blocking bound"
-            )
-        self.max_pending = max_pending
-        self.shed_above = shed_above
-        self._cv = threading.Condition(threading.RLock())
-        self._items: deque = deque()
-        self._pending = 0
-        self._closed = False
-        self.high_water = 0
-
-    @property
-    def pending(self) -> int:
-        with self._cv:
-            return self._pending
-
-    def admit(self, item, *, should_stop=None, poll: float | None = None) -> bool:
-        """Admit ``item``, or return False (shed / stopped / closed).
-
-        With ``shed_above`` set (constructor-validated to be at most
-        ``max_pending``), admission never blocks: a pending depth at or
-        above the threshold sheds the item immediately.  With it unset,
-        admission only ever blocks (backpressure) — until depth drops
-        below ``max_pending`` or ``should_stop()`` turns true — and
-        never sheds.
-
-        ``poll`` is a compatibility fallback: callers that flip a stop
-        flag without calling :meth:`wake` can pass a timeout so the flag
-        is still observed within one poll period.  ``None`` (the
-        default) waits purely on condition-variable wakeups.
-        """
-        with self._cv:
-            while True:
-                if should_stop is not None and should_stop():
-                    return False
-                if self._closed:
-                    return False
-                if self.shed_above is not None and self._pending >= self.shed_above:
-                    return False
-                if self._pending < self.max_pending:
-                    self._items.append(item)
-                    self._pending += 1
-                    self.high_water = max(self.high_water, self._pending)
-                    self._cv.notify_all()
-                    return True
-                self._cv.wait(poll)
-
-    def wake(self) -> None:
-        """Nudge every blocked ``admit``/``get`` to re-check its exit
-        conditions (stop flags, closure).  Notify-only, so it is safe
-        from signal handlers and from threads that hold no other locks.
-        """
-        with self._cv:
-            self._cv.notify_all()
-
-    def get(self):
-        """Next item, or ``None`` once the queue is closed and empty."""
-        with self._cv:
-            while True:
-                if self._items:
-                    return self._items.popleft()
-                if self._closed:
-                    return None
-                self._cv.wait()
-
-    def task_done(self) -> None:
-        with self._cv:
-            self._pending = max(0, self._pending - 1)
-            self._cv.notify_all()
-
-    def drain(self) -> list:
-        """Remove (and return) every not-yet-started item."""
-        with self._cv:
-            dropped = list(self._items)
-            self._items.clear()
-            self._pending = max(0, self._pending - len(dropped))
-            self._cv.notify_all()
-            return dropped
-
-    def close(self) -> None:
-        with self._cv:
-            self._closed = True
-            self._cv.notify_all()
 
 
 @dataclass(slots=True)
@@ -384,7 +282,9 @@ class JobRunner:
         # Per-run state (reset by _execute)
         self._lock = threading.RLock()
         self._heartbeats: list[WorkerHeartbeat] = []
-        self._queue: AdmissionQueue | None = None
+        self._gate: AdmissionGate | None = None
+        # Admitted (index, question) pairs for the workers; None closes it.
+        self._items: queue.SimpleQueue = queue.SimpleQueue()
         self._journal: CheckpointJournal | None = None
         self._watchdog: Watchdog | None = None
         self._outcomes: list[JobOutcome | None] = []
@@ -487,15 +387,15 @@ class JobRunner:
         """Ask the job to stop admitting work and finish in-flight queries.
 
         Safe to call from any thread *and* from a signal handler: it
-        flips a flag and nudges the admission queue's condition variable
-        (notify-only on an RLock, so interrupting the feeding thread
-        mid-``admit`` cannot self-deadlock); the run loop applies the
-        drain in normal context.
+        flips a flag and stops the admission gate (its condition variable
+        sits on an RLock, so interrupting the feeding thread mid-``enter``
+        cannot self-deadlock); the run loop applies the drain in normal
+        context.
         """
         self._drain_flag = True
-        queue = self._queue
-        if queue is not None:
-            queue.wake()
+        gate = self._gate
+        if gate is not None:
+            gate.stop()
 
     # ------------------------------------------------------------------
     # Execution
@@ -532,9 +432,10 @@ class JobRunner:
             self._stalls = []
             self._remaining = len(pending_indices)
             self._journal = journal
-            self._queue = AdmissionQueue(
+            self._gate = AdmissionGate(
                 self.config.max_pending, shed_above=self.config.shed_above
             )
+            self._items = queue.SimpleQueue()
             self._heartbeats = []
             self._worker_seq = 0
             self._done = threading.Event()
@@ -570,19 +471,17 @@ class JobRunner:
             for index in pending_indices:
                 if self._drain_flag or self._fatal is not None:
                     break
-                admitted = self._queue.admit(
-                    (index, questions[index]),
-                    should_stop=lambda: self._drain_flag
-                    or self._fatal is not None,
-                )
-                if not admitted:
+                refusal = self._gate.enter()
+                if refusal is None:
+                    self._items.put((index, questions[index]))
+                else:
                     if self._drain_flag or self._fatal is not None:
                         break
                     # Load shedding: answer immediately instead of queueing.
                     outcome = ShedOutcome(
                         question=questions[index],
-                        pending_at_admission=self._queue.pending,
-                        shed_above=self.config.shed_above,
+                        pending_at_admission=refusal.pending_at_admission,
+                        shed_above=refusal.shed_above,
                     )
                     shed_count += 1
                     with self._lock:
@@ -604,10 +503,11 @@ class JobRunner:
             self._restore_signal_handlers(old_handlers)
             if self._watchdog is not None:
                 self._watchdog.stop()
-            # Registered workers exit promptly on the closed queue;
-            # abandoned (cancelled) workers are daemons already removed
-            # from the heartbeat table at replacement time.
-            self._queue.close()
+            # Registered workers exit on the close marker once the items
+            # ahead of it are done; abandoned (cancelled) workers are
+            # daemons already removed from the heartbeat table at
+            # replacement time.
+            self._items.put(None)
             if journal is not None:
                 journal.close()
 
@@ -615,7 +515,7 @@ class JobRunner:
             if self._fatal is not None:
                 raise self._fatal
             self.job_metrics.queue_high_water = max(
-                self.job_metrics.queue_high_water, self._queue.high_water
+                self.job_metrics.queue_high_water, self._gate.high_water
             )
             outcomes = list(self._outcomes)
             stalls = list(self._stalls)
@@ -681,13 +581,20 @@ class JobRunner:
 
     def _worker(self, hb: WorkerHeartbeat) -> None:
         stride = max(1, self.pipeline.config.batch_certify_stride)
+        # This run's queue and gate, even if a later run replaces them.
+        items, gate = self._items, self._gate
         while True:
-            item = self._queue.get()
-            if item is None:
-                return
-            index, question = item
+            item = items.get()
             with self._lock:
-                hb.begin(index, question, self.clock.now())
+                # A drained job starts nothing new: the item's slot stays
+                # None, pending in the checkpoint.
+                closing = item is None or self._drain_applied
+                if not closing:
+                    index, question = item
+                    hb.begin(index, question, self.clock.now())
+            if closing:
+                items.put(None)  # pass the close marker on
+                return
             try:
                 certify = (
                     self.pipeline.config.certify and index % stride == 0
@@ -721,7 +628,7 @@ class JobRunner:
             except BaseException as exc:  # noqa: BLE001 - journal failure is fatal
                 self._abort_with(exc, hb)
                 return
-            self._queue.task_done()
+            gate.exit()
 
     def _abort_with(self, exc: BaseException, hb: WorkerHeartbeat) -> None:
         with self._lock:
@@ -732,10 +639,10 @@ class JobRunner:
                 self._fatal = exc
             hb.finish()
         self._done.set()
-        # A feeder blocked in admit() checks the fatal flag on wakeup.
-        queue = self._queue
-        if queue is not None:
-            queue.wake()
+        # A feeder blocked in enter() is refused and sees the fatal flag.
+        gate = self._gate
+        if gate is not None:
+            gate.stop()
 
     def _commit(self, index, question, outcome, kind) -> None:
         # Caller holds self._lock; commit and journal append are atomic
@@ -788,7 +695,7 @@ class JobRunner:
                     self.job_metrics.workers_replaced += 1
                 reports.append(report)
         for _ in reports:
-            self._queue.task_done()
+            self._gate.exit()
         return reports
 
     # ------------------------------------------------------------------
@@ -801,12 +708,10 @@ class JobRunner:
                 return
             self._drain_applied = True
             self.job_metrics.jobs_aborted += 1
-        dropped = self._queue.drain()
-        self._queue.close()
+        self._items.put(None)
         with self._lock:
             if not any(hb.busy for hb in self._heartbeats):
                 self._done.set()
-        del dropped  # their slots stay None → pending in the checkpoint
 
     def _install_signal_handlers(self):
         if not self.config.handle_signals:

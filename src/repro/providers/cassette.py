@@ -2,7 +2,7 @@
 
 A cassette is an append-only JSONL file of prompt→completion pairs keyed
 by prompt digest (:func:`~repro.llm.client.prompt_fingerprint`).  Each
-line is the same self-checking envelope the checkpoint journal uses —
+line is the self-checking envelope of :mod:`repro.store.envelope` —
 ``{"sha256": <hex of canonical record>, "record": {...}}`` — appended
 through :func:`repro.store.atomic.append_durable_line` (write + flush +
 fsync), so a kill mid-recording loses at most the pair being appended
@@ -25,8 +25,6 @@ may race to record the same prompt; both wrote the same completion).
 
 from __future__ import annotations
 
-import hashlib
-import json
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,6 +32,14 @@ from pathlib import Path
 from repro.errors import CassetteError, CassetteMissError
 from repro.llm.client import LLMClient, UsageStats, prompt_fingerprint
 from repro.store.atomic import StepHook, append_durable_line, atomic_write_json
+from repro.store.envelope import (
+    MISSING_FIELDS,
+    Damage,
+    ScannedLine,
+    encode,
+    scan,
+    truncate_torn_tail,
+)
 
 CASSETTE_VERSION = 1
 
@@ -42,26 +48,36 @@ CASSETTE_VERSION = 1
 #: real replay run without replaying the cassette itself.
 SIDECAR_SUFFIX = ".integrity.json"
 
-
-def _canonical(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+#: Damage kind for a record whose digest names a different prompt.
+DIGEST_MISMATCH = "digest-mismatch"
 
 
 def cassette_line(prompt: str, completion: str) -> str:
     """Envelope one prompt→completion pair as a self-checking JSONL line."""
-    record = {
-        "v": CASSETTE_VERSION,
-        "digest": prompt_fingerprint(prompt),
-        "prompt": prompt,
-        "completion": completion,
-    }
-    payload = _canonical(record)
-    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-    return json.dumps(
-        {"sha256": digest, "record": record},
-        sort_keys=True,
-        separators=(",", ":"),
+    return encode(
+        {
+            "v": CASSETTE_VERSION,
+            "digest": prompt_fingerprint(prompt),
+            "prompt": prompt,
+            "completion": completion,
+        }
     )
+
+
+def _check_pair(record: dict) -> Damage | None:
+    fields = [record.get(key) for key in ("digest", "prompt", "completion")]
+    if not all(isinstance(value, str) for value in fields):
+        return Damage(MISSING_FIELDS, "record missing digest/prompt/completion")
+    if prompt_fingerprint(record["prompt"]) != record["digest"]:
+        return Damage(DIGEST_MISMATCH, "digest does not match prompt")
+    return None
+
+
+def scan_cassette(path: str | Path) -> list[ScannedLine]:
+    """Every non-blank cassette line, decoded; a record that is not a
+    well-formed, correctly keyed pair counts as damaged (see
+    :func:`repro.store.envelope.scan`)."""
+    return scan(path, _check_pair)
 
 
 @dataclass(slots=True)
@@ -91,46 +107,6 @@ class CassetteReport:
             "duplicates": self.duplicates,
             "skipped": [line.as_dict() for line in self.skipped],
         }
-
-
-def _parse_line(line: str) -> tuple[str, str, str]:
-    """Validate one envelope line → (digest, prompt, completion).
-
-    Raises ``ValueError`` with a human-readable reason on any damage;
-    the loader converts that into a :class:`SkippedLine`.
-    """
-    try:
-        envelope = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"unparseable JSON: {exc}") from exc
-    if not isinstance(envelope, dict):
-        raise ValueError("envelope is not an object")
-    record = envelope.get("record")
-    declared = envelope.get("sha256")
-    if not isinstance(record, dict) or not isinstance(declared, str):
-        raise ValueError("envelope missing record/sha256")
-    actual = hashlib.sha256(_canonical(record).encode("utf-8")).hexdigest()
-    if actual != declared:
-        raise ValueError("checksum mismatch")
-    digest = record.get("digest")
-    prompt = record.get("prompt")
-    completion = record.get("completion")
-    if (
-        not isinstance(digest, str)
-        or not isinstance(prompt, str)
-        or not isinstance(completion, str)
-    ):
-        raise ValueError("record missing digest/prompt/completion")
-    if prompt_fingerprint(prompt) != digest:
-        raise ValueError("digest does not match prompt")
-    return digest, prompt, completion
-
-
-def parse_cassette_line(line: str) -> tuple[str, str, str]:
-    """Public seam for the integrity walkers: validate one envelope line
-    → ``(digest, prompt, completion)``, raising ``ValueError`` with a
-    human-readable reason on any damage."""
-    return _parse_line(line)
 
 
 def sidecar_path(path: str | Path) -> Path:
@@ -172,21 +148,20 @@ def load_cassette(path: str | Path) -> tuple[dict[str, str], CassetteReport]:
     if not path.exists():
         return table, report
     try:
-        text = path.read_text("utf-8", errors="replace")
+        lines = scan_cassette(path)
     except OSError as exc:
         raise CassetteError(f"cassette {path} is unreadable: {exc}") from exc
-    for number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
+    for line in lines:
+        if line.damage is not None:
+            report.skipped.append(
+                SkippedLine(line_number=line.number, reason=line.damage.reason)
+            )
             continue
-        try:
-            digest, _prompt, completion = _parse_line(line)
-        except ValueError as exc:
-            report.skipped.append(SkippedLine(line_number=number, reason=str(exc)))
-            continue
+        digest = line.record["digest"]
         if digest in table:
             report.duplicates += 1
             continue
-        table[digest] = completion
+        table[digest] = line.record["completion"]
     report.entries = len(table)
     return table, report
 
@@ -199,7 +174,9 @@ class RecordingLLM:
     handle stays open for the wrapper's lifetime so every append is one
     write + flush + fsync, and :meth:`close` (or use as a context
     manager) releases it.  Appending to an existing cassette extends it:
-    already-recorded digests are loaded first and never re-appended.
+    a torn tail left by a crash is truncated first (:attr:`repaired_tail`
+    records whether one was found), then already-recorded digests are
+    loaded and never re-appended.
     """
 
     def __init__(
@@ -218,6 +195,9 @@ class RecordingLLM:
         self.stats = stats if stats is not None else UsageStats()
         self._lock = threading.Lock()
         self._path.parent.mkdir(parents=True, exist_ok=True)
+        # Cut a tear left by a crash mid-append first: the next pair would
+        # otherwise be appended onto the fragment and skipped with it.
+        self.repaired_tail = truncate_torn_tail(self._path)
         self._recorded, self.report = load_cassette(self._path)
         persist_cassette_report(self.report)
         self._handle = open(self._path, "a", encoding="utf-8")

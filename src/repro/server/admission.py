@@ -1,142 +1,12 @@
 """Bounded admission for the serving daemon.
 
-:class:`AdmissionGate` transplants the
-:class:`~repro.jobs.runner.AdmissionQueue` semantics — a pending bound
-with backpressure below it and load shedding at a watermark — onto the
-shape an HTTP server needs.  There is no queue of items to hand to
-workers: each request *is* its own thread, so the gate is a counter with
-the same invariants:
-
-* ``depth`` counts requests admitted but not yet completed;
-* with ``shed_above`` set (validated ``<= max_pending``), a depth at or
-  above the watermark **sheds immediately** — the caller turns that into
-  a fast 503 with a :class:`ShedDecision` body, never a stuck connection;
-* below the watermark but at ``max_pending``, the request **waits** on
-  the condition variable, bounded by its own deadline, until a slot
-  frees, the deadline expires, or the server starts draining —
-  :meth:`wake` (called by drain) is observed immediately, mirroring the
-  PR 7 condition-variable wakeup in the job queue.
-
-Counters (``admitted`` / ``shed`` / ``refused_draining`` /
-``refused_deadline`` / ``high_water``) are maintained under the lock;
-the daemon mirrors them into :class:`~repro.core.metrics.PipelineMetrics`.
+The daemon takes one :class:`AdmissionGate` slot per request and turns a
+refusal into a fast 503 whose body is the :class:`ShedDecision`.  The
+gate itself lives in :mod:`repro.jobs.admission`, shared with the job
+runner's feeder; this module is where the daemon and its callers look it
+up.
 """
 
-from __future__ import annotations
+from repro.jobs.admission import AdmissionGate, ShedDecision
 
-import threading
-import time
-from dataclasses import dataclass
-
-
-@dataclass(slots=True)
-class ShedDecision:
-    """Why a request was refused admission (the body of its 503)."""
-
-    reason: str  # "shed" | "draining" | "deadline"
-    pending_at_admission: int
-    shed_above: int | None
-    max_pending: int
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "error": self.reason,
-            "verdict": "UNKNOWN",
-            "shed": {
-                "pending_at_admission": self.pending_at_admission,
-                "shed_above": self.shed_above,
-                "max_pending": self.max_pending,
-            },
-        }
-
-
-class AdmissionGate:
-    """Bounded in-flight counter with a shed watermark (see module doc)."""
-
-    def __init__(self, max_pending: int, *, shed_above: int | None = None) -> None:
-        if max_pending < 1:
-            raise ValueError("max_pending must be >= 1")
-        if shed_above is not None and not (1 <= shed_above <= max_pending):
-            raise ValueError(
-                "shed_above must be in [1, max_pending]: the shed "
-                "watermark has to fire before the blocking bound"
-            )
-        self.max_pending = max_pending
-        self.shed_above = shed_above
-        self._cv = threading.Condition()
-        self._depth = 0
-        self._stopped = False
-        self.high_water = 0
-        self.admitted = 0
-        self.shed = 0
-        self.refused_draining = 0
-        self.refused_deadline = 0
-
-    @property
-    def depth(self) -> int:
-        with self._cv:
-            return self._depth
-
-    def enter(self, *, deadline_at: float | None = None) -> ShedDecision | None:
-        """Try to take a slot; ``None`` on success, the refusal otherwise.
-
-        ``deadline_at`` is an absolute ``time.monotonic()`` instant; a
-        request never waits past its own deadline for a slot (the
-        no-stuck-connection contract).  A gate that has been
-        :meth:`stop`-ped refuses immediately with reason ``draining``.
-        """
-        with self._cv:
-            while True:
-                if self._stopped:
-                    self.refused_draining += 1
-                    return ShedDecision(
-                        "draining", self._depth, self.shed_above, self.max_pending
-                    )
-                if (
-                    self.shed_above is not None
-                    and self._depth >= self.shed_above
-                ):
-                    self.shed += 1
-                    return ShedDecision(
-                        "shed", self._depth, self.shed_above, self.max_pending
-                    )
-                if self._depth < self.max_pending:
-                    self._depth += 1
-                    self.high_water = max(self.high_water, self._depth)
-                    self.admitted += 1
-                    return None
-                timeout = None
-                if deadline_at is not None:
-                    timeout = deadline_at - time.monotonic()
-                    if timeout <= 0:
-                        self.refused_deadline += 1
-                        return ShedDecision(
-                            "deadline",
-                            self._depth,
-                            self.shed_above,
-                            self.max_pending,
-                        )
-                self._cv.wait(timeout)
-
-    def exit(self) -> None:
-        """Release a slot taken by a successful :meth:`enter`."""
-        with self._cv:
-            self._depth = max(0, self._depth - 1)
-            self._cv.notify_all()
-
-    def stop(self) -> None:
-        """Refuse all future admissions (drain); waiting requests are
-        woken and refused immediately.  Idempotent."""
-        with self._cv:
-            self._stopped = True
-            self._cv.notify_all()
-
-    def wait_empty(self, timeout: float | None = None) -> bool:
-        """Block until every admitted request has exited (drain barrier)."""
-        with self._cv:
-            return self._cv.wait_for(lambda: self._depth == 0, timeout)
-
-    def wake(self) -> None:
-        """Nudge waiters to re-check deadlines and stop state."""
-        with self._cv:
-            self._cv.notify_all()
+__all__ = ["AdmissionGate", "ShedDecision"]

@@ -6,8 +6,8 @@ keeps it resident.  One process holds a
 a threaded stdlib HTTP server and answers privacy-practice questions in
 milliseconds instead of seconds.  Robustness is the headline:
 
-* **bounded admission** — an :class:`~repro.server.admission.AdmissionGate`
-  with the :class:`~repro.jobs.runner.AdmissionQueue` invariants; above
+* **bounded admission** — an :class:`~repro.server.admission.AdmissionGate`,
+  the same gate the job runner feeds through; above
   the ``shed_above`` watermark a request gets a fast 503 with a
   structured shed body, never a stuck connection;
 * **deadlines that only tighten** — each request carries a wall-clock

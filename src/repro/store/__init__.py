@@ -6,6 +6,9 @@ recoverable*:
 
 * :mod:`repro.store.atomic` — fsync'd write-to-temp-then-rename file
   primitives with named crash-step hooks;
+* :mod:`repro.store.envelope` — the sha256-enveloped JSONL line that the
+  checkpoint journal and LLM cassettes append, with its decoder, line
+  scanner and torn-tail truncation;
 * :mod:`repro.store.serialize` — full round-trip between a
   :class:`~repro.core.pipeline.PolicyModel` and a set of hashable
   artifact payloads;

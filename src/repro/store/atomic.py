@@ -61,8 +61,9 @@ def append_durable_line(
     line is written, flushed, and (by default) fsync'd before the call
     returns, so a crash after the call can lose at most records appended
     *later*.  A crash *during* the write can leave a torn final line —
-    journal readers must therefore recover to the last complete prefix
-    (see :mod:`repro.jobs.checkpoint`).  Steps: ``append:<label>``,
+    readers must therefore recover to the last complete prefix, and
+    writers truncate the tear before reopening (see
+    :mod:`repro.store.envelope`).  Steps: ``append:<label>``,
     ``sync:<label>``.
     """
     label = label or "line"

@@ -9,10 +9,17 @@ offline, so any test that accidentally reaches a non-loopback address
 fails loudly instead of hanging on a firewall or silently calling out.
 Loopback stays open — the serving-daemon tests exercise real sockets on
 127.0.0.1 by design.
+
+A second autouse fixture is the hang guard: a test still running after
+``TEST_TIMEOUT_SECONDS`` dumps every thread's stack and exits the
+process, so a reintroduced silent hang (the failure mode the job
+watchdog exists for) fails the run instead of wedging it.
 """
 
 from __future__ import annotations
 
+import faulthandler
+import os
 import socket
 
 import pytest
@@ -23,6 +30,31 @@ from repro.llm.simulated import SimulatedLLM
 from repro.llm.tasks import TaskRunner
 
 _LOOPBACK_NAMES = {"localhost", "127.0.0.1", "::1", ""}
+
+#: Per-test wall-clock cap enforced by :func:`_hang_guard`.
+TEST_TIMEOUT_SECONDS = 600
+
+#: The terminal's stderr, duplicated before output capture redirects fd 2,
+#: so a hang's stack dump is seen rather than lost with the capture.
+_HANG_DUMP_FILE = pytest.StashKey()
+
+
+def pytest_configure(config):
+    config.stash[_HANG_DUMP_FILE] = os.fdopen(os.dup(2), "w")
+
+
+def pytest_unconfigure(config):
+    config.stash[_HANG_DUMP_FILE].close()
+
+
+@pytest.fixture(autouse=True)
+def _hang_guard(request):
+    """Dump all stacks and exit if one test runs past the cap."""
+    faulthandler.dump_traceback_later(
+        TEST_TIMEOUT_SECONDS, exit=True, file=request.config.stash[_HANG_DUMP_FILE]
+    )
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 def _is_loopback(address: object) -> bool:

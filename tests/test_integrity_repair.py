@@ -15,7 +15,6 @@ from repro.integrity.faults import flip_bit, truncate_tail, zero_block
 from repro.jobs.checkpoint import (
     JOURNAL_NAME,
     CheckpointJournal,
-    journal_line,
     read_journal,
 )
 from repro.providers.cassette import (
@@ -23,6 +22,7 @@ from repro.providers.cassette import (
     load_cassette,
     sidecar_path,
 )
+from repro.store.envelope import encode
 from repro.store.snapshot import SnapshotStore
 
 pytestmark = pytest.mark.integrity
@@ -253,7 +253,7 @@ class TestCheckpointRepair:
             "trace": {},
         }
         journal = tmp_path / JOURNAL_NAME
-        journal.write_text(journal_line(record) + "\n", encoding="utf-8")
+        journal.write_text(encode(record) + "\n", encoding="utf-8")
         report = run_fsck(tmp_path)
         assert report.unrepairable
         plan = plan_repairs(report)

@@ -1,6 +1,8 @@
 """Supervised job runner: admission, checkpointing, resume, isolation.
 
-Fast suite (no markers): admission-queue semantics, journal recovery —
+Fast suite (no markers): admission through the gate that bounds the
+runner's item queue (the gate's serving side is in ``test_server.py``),
+journal recovery —
 including the two corruptions an append-only log can suffer, a torn final
 record and a replayed (duplicated) append — runner/`query_batch` trace
 parity, resume-only-the-pending behaviour, BaseException propagation
@@ -16,6 +18,8 @@ rides the chaos lane (``pytest -m chaos``) rather than the fast lane.
 from __future__ import annotations
 
 import json
+import queue
+import sys
 import threading
 import time
 
@@ -24,18 +28,18 @@ import pytest
 from repro import JobConfig, JobError, JobRunner, Verdict
 from repro.core.pipeline import ErrorOutcome
 from repro.jobs import (
-    AdmissionQueue,
     CheckpointedOutcome,
     ShedOutcome,
     read_journal,
 )
+from repro.jobs.admission import AdmissionGate
 from repro.jobs.checkpoint import (
     JOURNAL_NAME,
     KIND_OUTCOME,
     CheckpointJournal,
-    journal_line,
 )
 from repro.jobs.faults import CountingQueryFn
+from repro.store.envelope import encode
 
 pytestmark = pytest.mark.chaos
 
@@ -59,131 +63,148 @@ def baseline(pipeline, small_model):
 
 
 # ---------------------------------------------------------------------------
-# Admission queue
+# Admission queue: the gate that bounds the runner's item queue
 # ---------------------------------------------------------------------------
 
 
 class TestAdmissionQueue:
+    """The runner's admission as its feeder and workers use it: ``enter``
+    then ``put`` to admit, ``get`` then ``exit`` to complete."""
+
     def test_admits_until_max_pending(self):
-        q = AdmissionQueue(max_pending=2)
-        assert q.admit("a")
-        assert q.admit("b")
-        assert q.pending == 2
-        assert q.high_water == 2
+        gate = AdmissionGate(max_pending=2)
+        assert gate.enter() is None
+        assert gate.enter() is None
+        assert gate.depth == 2
+        assert gate.high_water == 2
 
     def test_backpressure_blocks_until_task_done(self):
-        q = AdmissionQueue(max_pending=1)
-        assert q.admit("a")
+        gate, items = AdmissionGate(max_pending=1), queue.SimpleQueue()
+        assert gate.enter() is None
+        items.put("a")
         admitted = []
 
         def feeder():
-            admitted.append(q.admit("b", poll=0.005))
+            admitted.append(gate.enter())
+            items.put("b")
 
         thread = threading.Thread(target=feeder)
         thread.start()
         time.sleep(0.05)
         assert not admitted  # still blocked at the bound
-        assert q.get() == "a"
-        q.task_done()
+        assert items.get() == "a"
+        gate.exit()
         thread.join(timeout=5.0)
-        assert admitted == [True]
-        assert q.get() == "b"
+        assert admitted == [None]
+        assert items.get(timeout=5.0) == "b"
 
     def test_blocked_admit_aborts_on_should_stop(self):
-        q = AdmissionQueue(max_pending=1)
-        assert q.admit("a")
-        stop = threading.Event()
+        gate = AdmissionGate(max_pending=1)
+        assert gate.enter() is None
         results = []
-
-        def feeder():
-            results.append(q.admit("b", should_stop=stop.is_set, poll=0.005))
-
-        thread = threading.Thread(target=feeder)
+        thread = threading.Thread(target=lambda: results.append(gate.enter()))
         thread.start()
-        stop.set()
+        gate.stop()  # what request_drain() does to a blocked feeder
         thread.join(timeout=5.0)
-        assert results == [False]
+        assert not thread.is_alive()
+        assert [r.reason for r in results] == ["draining"]
 
     def test_blocked_admit_wakes_on_task_done_without_polling(self):
-        # PR 7: no poll period at all — the default admit sleeps purely on
-        # the condition variable, so queue activity must wake it directly.
-        q = AdmissionQueue(max_pending=1)
-        assert q.admit("a")
+        # No poll period at all: the waiter sleeps purely on the condition
+        # variable, so exit() must wake it directly.
+        gate = AdmissionGate(max_pending=1)
+        assert gate.enter() is None
         admitted = []
-
-        def feeder():
-            admitted.append(q.admit("b"))
-
-        thread = threading.Thread(target=feeder)
+        thread = threading.Thread(target=lambda: admitted.append(gate.enter()))
         thread.start()
         time.sleep(0.05)
         assert not admitted
-        assert q.get() == "a"
         started = time.monotonic()
-        q.task_done()
+        gate.exit()
         thread.join(timeout=5.0)
         assert not thread.is_alive()
         assert time.monotonic() - started < 1.0, "wakeup must not wait a poll tick"
-        assert admitted == [True]
+        assert admitted == [None]
 
     def test_wake_makes_stop_flag_observed_immediately(self):
-        q = AdmissionQueue(max_pending=1)
-        assert q.admit("a")
-        stop = threading.Event()
+        gate = AdmissionGate(max_pending=1)
+        assert gate.enter() is None
         results = []
-
-        def feeder():
-            results.append(q.admit("b", should_stop=stop.is_set))
-
-        thread = threading.Thread(target=feeder)
+        thread = threading.Thread(target=lambda: results.append(gate.enter()))
         thread.start()
         time.sleep(0.05)
         assert thread.is_alive(), "feeder should be parked on the cv"
-        stop.set()
-        q.wake()
+        gate.wake()  # a bare wake re-checks and parks again
+        time.sleep(0.05)
+        assert thread.is_alive() and not results
+        gate.stop()
         thread.join(timeout=5.0)
-        assert not thread.is_alive(), "wake() must rouse the blocked admit"
-        assert results == [False]
+        assert not thread.is_alive(), "stop() must rouse the blocked enter"
+        assert [r.reason for r in results] == ["draining"]
 
     def test_shed_above_must_not_exceed_max_pending(self):
         # A threshold past the blocking bound would create a depth band
-        # [max_pending, shed_above) that blocks instead of shedding,
-        # contradicting admit()'s never-blocks contract.
+        # [max_pending, shed_above) that blocks instead of shedding.
         with pytest.raises(ValueError, match="shed_above"):
-            AdmissionQueue(max_pending=1, shed_above=2)
+            AdmissionGate(max_pending=1, shed_above=2)
+        with pytest.raises(ValueError, match="shed_above"):
+            JobConfig(max_pending=1, shed_above=2)
 
     def test_shed_above_never_blocks(self):
-        q = AdmissionQueue(max_pending=10, shed_above=1)
-        assert q.admit("a")
+        gate = AdmissionGate(max_pending=10, shed_above=1)
+        assert gate.enter() is None
         # Depth 1 >= shed threshold 1: refused immediately, no blocking.
-        assert q.admit("b") is False
-        q.get()
-        q.task_done()
-        assert q.admit("b")
+        refusal = gate.enter()
+        assert refusal.reason == "shed" and refusal.pending_at_admission == 1
+        gate.exit()
+        assert gate.enter() is None
 
     def test_pending_counts_in_flight_not_just_queued(self):
-        q = AdmissionQueue(max_pending=4)
-        q.admit("a")
-        assert q.get() == "a"
-        assert q.pending == 1  # popped but not completed
-        q.task_done()
-        assert q.pending == 0
+        gate, items = AdmissionGate(max_pending=4), queue.SimpleQueue()
+        assert gate.enter() is None
+        items.put("a")
+        assert items.get() == "a"
+        assert gate.depth == 1  # taken by a worker but not completed
+        gate.exit()
+        assert gate.depth == 0
 
-    def test_get_returns_none_when_closed_and_empty(self):
-        q = AdmissionQueue(max_pending=2)
-        q.admit("a")
-        q.close()
-        assert q.get() == "a"
-        assert q.get() is None
-        assert q.admit("b") is False
+    def test_get_returns_none_when_closed_and_empty(self, pipeline, small_model):
+        runner = JobRunner(pipeline, small_model, JobConfig(max_workers=2))
+        before = set(threading.enumerate())
+        runner.run(QUESTIONS)
+        for thread in set(threading.enumerate()) - before:
+            if thread.name.startswith("job-worker-"):
+                thread.join(timeout=5.0)
+        # Every worker passed the close marker on; it alone is left.
+        assert runner._items.get_nowait() is None
+        assert runner._items.empty()
+        runner.request_drain()
+        assert runner._gate.enter().reason == "draining"
 
-    def test_drain_removes_unstarted_items(self):
-        q = AdmissionQueue(max_pending=8)
-        for item in ("a", "b", "c"):
-            q.admit(item)
-        assert q.get() == "a"  # in flight
-        assert q.drain() == ["b", "c"]
-        assert q.pending == 1  # the in-flight item remains accounted
+    def test_drain_removes_unstarted_items(self, pipeline, small_model):
+        counting = CountingQueryFn(pipeline, small_model)
+        runner = JobRunner(
+            pipeline,
+            small_model,
+            JobConfig(max_workers=1, max_pending=8, handle_signals=False),
+        )
+
+        def drain_on_first(index, question, certify, heartbeat):
+            if index == 0:
+                runner.request_drain()
+                # Hold the in-flight query until the drain lands, so the
+                # worker's next get() deterministically sees it.
+                deadline = time.monotonic() + 10.0
+                while not runner._drain_applied and time.monotonic() < deadline:
+                    time.sleep(0.002)
+            return counting(index, question, certify, heartbeat)
+
+        runner._query_fn = drain_on_first
+        result = runner.run(QUESTIONS)
+        # The in-flight query finished; the queued ones never started.
+        assert counting.by_index == {0: 1}
+        assert result.outcomes[0] is not None
+        assert result.pending == [1, 2, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +266,7 @@ class TestJournalRecovery:
         path = _write_journal(tmp_path, [(0, QUESTIONS[0]), (1, QUESTIONS[1])])
         # Replay record 0's append with a *different* trace: recovery must
         # keep the first occurrence and only count the duplicate.
-        replay = journal_line(
+        replay = encode(
             {
                 "kind": KIND_OUTCOME,
                 "index": 0,
@@ -409,7 +430,7 @@ class TestJobRunner:
         lines = path.read_text("utf-8").splitlines()
         header = json.loads(lines[0])["record"]
         header["questions"] = list(QUESTIONS[:2])  # suite swapped, digest stale
-        lines[0] = journal_line(header)
+        lines[0] = encode(header)
         path.write_text("\n".join(lines) + "\n", "utf-8")
         with pytest.raises(JobError, match="digest"):
             JobRunner(pipeline, small_model, config).resume()
@@ -468,6 +489,20 @@ class TestJobRunner:
         assert result.metrics.query_errors == 1
         assert not result.aborted  # fault isolated, job completed
 
+    def test_workers_exit_when_run_ends(self, pipeline, small_model):
+        # The close marker is passed from worker to worker: none of a
+        # run's workers outlives it, however many there are.
+        before = set(threading.enumerate())
+        JobRunner(pipeline, small_model, JobConfig(max_workers=3)).run(QUESTIONS)
+        workers = [
+            t
+            for t in threading.enumerate()
+            if t not in before and t.name.startswith("job-worker-")
+        ]
+        for thread in workers:
+            thread.join(timeout=5.0)
+        assert not any(t.is_alive() for t in workers)
+
 
 class TestLoadShedding:
     def test_overflow_queries_shed_to_unknown(self, pipeline, small_model):
@@ -493,7 +528,31 @@ class TestLoadShedding:
             assert isinstance(outcome, ShedOutcome)
             assert outcome.verdict is Verdict.UNKNOWN
             assert outcome.shed_above == 1
+            # The depth the gate saw under its lock: query 0 in flight.
+            assert outcome.pending_at_admission == 1
         assert not isinstance(result.outcomes[0], ShedOutcome)
+
+    def test_many_workers_fill_every_slot_exactly_once(self, pipeline, small_model):
+        # More workers than cores, a tight watermark and a short switch
+        # interval: each slot is answered once or shed once, every shed
+        # carries the depth the gate refused at, and the depth drains to 0.
+        questions = [QUESTIONS[i % len(QUESTIONS)] for i in range(64)]
+        counting = CountingQueryFn(pipeline, small_model)
+        config = JobConfig(max_workers=8, max_pending=6, shed_above=4)
+        runner = JobRunner(pipeline, small_model, config, query_fn=counting)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            result = runner.run(questions)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not result.aborted
+        shed = [o for o in result.outcomes if isinstance(o, ShedOutcome)]
+        assert len(shed) == result.shed
+        assert set(counting.by_index.values()) <= {1}
+        assert len(counting.by_index) + len(shed) == len(questions)
+        assert all(o.pending_at_admission == 4 for o in shed)
+        assert runner._gate.depth == 0
 
     def test_high_water_tracked(self, pipeline, small_model):
         config = JobConfig(max_workers=2, max_pending=2)

@@ -151,6 +151,22 @@ class TestIntegrity:
         assert replay.complete("kept") == "kept completion"
         assert len(replay.report.skipped) == 1
 
+    def test_recording_after_torn_tail_keeps_both_pairs(self, tmp_path):
+        # A crash mid-append leaves a newline-less fragment.  Reopening
+        # for recording must cut it first; otherwise the next pair is
+        # appended onto the fragment and skipped with it on replay.
+        path = tmp_path / "tape.jsonl"
+        torn = cassette_line("p9", "lost to the crash")[:40]
+        path.write_text(cassette_line("p1", "c1") + "\n" + torn, encoding="utf-8")
+        with RecordingLLM(CountingLLM(), path) as recorder:
+            recorder.complete("p2")
+        table, report = load_cassette(path)
+        assert report.skipped == []
+        replay = ReplayLLM(path)
+        assert replay.complete("p1") == "c1"
+        assert replay.complete("p2") == "completion::p2"
+        assert recorder.repaired_tail
+
     def test_digest_prompt_mismatch_is_skipped(self, tmp_path):
         path = tmp_path / "tape.jsonl"
         # Re-envelope a record whose digest names a different prompt: the

@@ -109,6 +109,68 @@ class TestServerConfig:
 
 
 class TestAdmissionGate:
+    """The one admission gate, as the daemon and the job runner use it."""
+
+    def test_admits_up_to_max_pending(self):
+        gate = AdmissionGate(max_pending=2)
+        assert gate.enter() is None and gate.enter() is None
+        assert gate.depth == 2 and gate.high_water == 2
+        # Full: a caller whose deadline has passed is refused, not queued.
+        decision = gate.enter(deadline_at=time.monotonic())
+        assert decision.reason == "deadline" and decision.pending_at_admission == 2
+        # Depth counts admitted-but-not-exited work, so it only falls on exit.
+        gate.exit()
+        assert gate.depth == 1 and gate.high_water == 2
+
+    def test_exit_wakes_blocked_enter_without_polling(self):
+        # Backpressure: no deadline, so the caller waits on the condition
+        # variable, and exit() must wake it directly.
+        gate = AdmissionGate(max_pending=1)
+        assert gate.enter() is None
+        decisions = []
+        t = threading.Thread(target=lambda: decisions.append(gate.enter()))
+        t.start()
+        time.sleep(0.05)
+        assert t.is_alive() and not decisions, "enter should block at the bound"
+        started = time.monotonic()
+        gate.exit()
+        t.join(timeout=5.0)
+        assert not t.is_alive()
+        assert time.monotonic() - started < 1.0, "wakeup must not wait a poll tick"
+        assert decisions == [None] and gate.depth == 1
+
+    def test_wake_rechecks_without_admitting(self):
+        gate = AdmissionGate(max_pending=1)
+        gate.enter()
+        decisions = []
+        t = threading.Thread(target=lambda: decisions.append(gate.enter()))
+        t.start()
+        time.sleep(0.05)
+        gate.wake()  # nothing changed: the waiter re-checks and waits on
+        time.sleep(0.05)
+        assert t.is_alive() and not decisions
+        gate.stop()
+        t.join(timeout=5.0)
+        assert decisions[0].reason == "draining"
+
+    def test_shed_never_blocks_without_deadline(self):
+        gate = AdmissionGate(max_pending=10, shed_above=1)
+        assert gate.enter() is None
+        # Depth 1 >= watermark 1: refused at once, even with no deadline.
+        decision = gate.enter()
+        assert decision.reason == "shed" and decision.pending_at_admission == 1
+        gate.exit()
+        assert gate.enter() is None
+
+    def test_stop_is_reentrant_under_the_gate_lock(self):
+        # A signal handler may interrupt the thread that holds the gate's
+        # lock inside enter(); on an RLock, stop() and wake() still return.
+        gate = AdmissionGate(max_pending=1)
+        with gate._cv:
+            gate.stop()
+            gate.wake()
+        assert gate.enter().reason == "draining"
+
     def test_admit_and_exit_track_depth(self):
         gate = AdmissionGate(max_pending=3)
         assert gate.enter() is None
@@ -195,7 +257,14 @@ class TestAdmissionGate:
         threading.Timer(0.05, gate.exit).start()
         assert gate.wait_empty(timeout=5.0)
 
-    @pytest.mark.parametrize("kwargs", [{"max_pending": 0}, {"max_pending": 2, "shed_above": 3}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_pending": 0},
+            {"max_pending": 2, "shed_above": 3},
+            {"max_pending": 2, "shed_above": 0},
+        ],
+    )
     def test_invalid_bounds_refused(self, kwargs):
         with pytest.raises(ValueError):
             AdmissionGate(**kwargs)
