@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.core.encode import EncodedQuery
@@ -25,7 +25,7 @@ from repro.errors import QueryError
 from repro.fol.builder import negate
 from repro.fol.formula import PredicateSymbol
 from repro.smtlib.printer import compile_validity_script
-from repro.smtlib.parser import execute_script
+from repro.smtlib.parser import execute_script_on
 from repro.solver.interface import CertificationConfig, Solver, SolverBudget
 from repro.solver.result import (
     CERTIFICATION_FAILED,
@@ -234,7 +234,7 @@ def verify_encoded(
 
     ``run_script`` is the execution-backend seam: a callable
     ``(script_text, budget, certification) -> list[SolverResult]`` that
-    replaces the in-process :func:`execute_script` for the main validity
+    replaces the in-process script execution for the main validity
     check (the budget-dominating solve).  The process-pool backend plugs
     in here — the SMT-LIB text is the wire format, so everything this
     function does with the results (verdict mapping, counterexample
@@ -242,18 +242,23 @@ def verify_encoded(
     across backends.  The auxiliary consistency and conditional-validity
     probes stay in-process; they are query-sized by construction.
     Requires ``via_smtlib`` (the seam *is* the textual round trip).
+
+    In-process, the conditional-validity probe runs on the main check's
+    own solver instance; only the ``run_script`` path, which has no
+    in-process instance, loads one for it.
     """
     if encoded.query_formula is None:
         raise QueryError("encoded query has no query formula")
     text = script_text if script_text is not None else compile_script_text(encoded)
 
+    # The main check's solver, kept for the conditional-validity probe.
+    solver: Solver | None = None
     if via_smtlib:
         if run_script is not None:
             results = run_script(text, budget, certification)
         else:
-            results = execute_script(
-                text, budget=budget, certification=certification
-            )
+            solver = Solver(budget=budget, certification=certification)
+            results, _outputs = execute_script_on(solver, text)
         solver_result = results[-1]
     else:
         solver = Solver(budget=budget, certification=certification)
@@ -300,7 +305,16 @@ def verify_encoded(
         and verdict is Verdict.INVALID
         and encoded.uninterpreted
     ):
-        result.conditionally_valid = _conditionally_valid(encoded, budget)
+        if solver is None:
+            solver = Solver(budget=budget, certification=certification)
+            for formula in encoded.policy_formulas:
+                solver.assert_formula(formula)
+            solver.assert_formula(negate(encoded.query_formula))
+        else:
+            # The result shares the instance's statistics object; detach it
+            # so the probe's work is not booked to the main check.
+            solver_result.statistics = replace(solver_result.statistics)
+        result.conditionally_valid = _conditionally_valid(solver, encoded)
     if certification_failed and quarantine_dir is not None:
         quarantine_failure(result, quarantine_dir)
     return result
@@ -335,19 +349,16 @@ def _counterexample(
     }
 
 
-def _conditionally_valid(
-    encoded: EncodedQuery, budget: SolverBudget | None
-) -> bool | None:
+def _conditionally_valid(solver: Solver, encoded: EncodedQuery) -> bool | None:
     """Would the query follow if all vague conditions were resolved true?
 
-    Uses ``check-sat-assuming`` over the uninterpreted predicates — the
-    incremental exploration of query conditions the paper points to as
-    future work.
+    ``solver`` holds exactly ``policy ∧ ¬query``.  The probe is a
+    ``check-sat-assuming`` over the uninterpreted predicates on that
+    instance — the incremental exploration of query conditions the paper
+    points to as future work.  It reuses the grounded core and learned
+    clauses, and is certified when the instance is.  An UNKNOWN answer,
+    including a failed certificate, leaves the question open (``None``).
     """
-    solver = Solver(budget=budget)
-    for formula in encoded.policy_formulas:
-        solver.assert_formula(formula)
-    solver.assert_formula(negate(encoded.query_formula))
     assumptions = [
         PredicateSymbol(name, (), uninterpreted=True, source_text=source)()
         for name, source in sorted(encoded.uninterpreted.items())

@@ -623,12 +623,15 @@ class JobRunner:
                         # Stalled and replaced while we were hung; the slot
                         # already holds a StallOutcome.  Discard and retire.
                         return
+                    # Release the slot before the commit that may complete
+                    # the job: run() returns once _done is set, and must
+                    # not find a slot still held.
+                    gate.exit()
                     self._commit(index, question, outcome, kind)
                     hb.finish()
             except BaseException as exc:  # noqa: BLE001 - journal failure is fatal
                 self._abort_with(exc, hb)
                 return
-            gate.exit()
 
     def _abort_with(self, exc: BaseException, hb: WorkerHeartbeat) -> None:
         with self._lock:
@@ -688,14 +691,14 @@ class JobRunner:
                 self._heartbeats.remove(hb)
                 outcome = StallOutcome(question=question, stall=report)
                 self.job_metrics.stalled_queries += 1
+                # As in _worker: free the slot before the commit.
+                self._gate.exit()
                 self._commit(index, question, outcome, KIND_STALL)
                 self._stalls.append(report)
                 if not self._drain_applied and self._fatal is None:
                     self._spawn_worker()
                     self.job_metrics.workers_replaced += 1
                 reports.append(report)
-        for _ in reports:
-            self._gate.exit()
         return reports
 
     # ------------------------------------------------------------------

@@ -208,8 +208,15 @@ class _Handler(BaseHTTPRequestHandler):
             elif self.path == "/reload":
                 self._send_json(*daemon.handle_reload())
             elif self.path == "/drain":
-                first = daemon.begin_drain("http")
-                self._send_json(202, {"draining": True, "initiated": first})
+                # Reply before waking the foreground loop: once woken, it
+                # may drain, stop the listener and exit the process.
+                first = daemon.begin_drain("http", wake=False)
+                try:
+                    self._send_json(202, {"draining": True, "initiated": first})
+                    self.wfile.flush()
+                finally:
+                    if first:
+                        daemon.wake_drain()
             else:
                 self._send_json(404, {"error": f"no route {self.path}"})
         except Exception as exc:  # noqa: BLE001 - handler isolation boundary
@@ -352,9 +359,13 @@ class PolicyServer:
     def draining(self) -> bool:
         return self._drain_reason is not None
 
-    def begin_drain(self, reason: str) -> bool:
+    def begin_drain(self, reason: str, *, wake: bool = True) -> bool:
         """Stop admitting work; in-flight requests finish.  Idempotent —
-        returns True only for the call that initiated the drain."""
+        returns True only for the call that initiated the drain.
+
+        ``wake=False`` leaves :meth:`serve_until_drained` asleep until
+        :meth:`wake_drain`: the ``POST /drain`` handler writes its reply
+        first, so the process cannot exit under it."""
         with self._drain_lock:
             if self._drain_reason is not None:
                 return False
@@ -366,8 +377,13 @@ class PolicyServer:
                 self.metrics.server_drains += 1
         # Outside the drain lock: waiting admitters are woken and refused.
         self.gate.stop()
-        self._drain_requested.set()
+        if wake:
+            self.wake_drain()
         return True
+
+    def wake_drain(self) -> None:
+        """Wake :meth:`serve_until_drained` to finish a begun drain."""
+        self._drain_requested.set()
 
     def await_drained(self, timeout: float | None = None) -> DrainReport:
         """Block until in-flight requests finish (bounded by

@@ -230,12 +230,25 @@ def execute_script_verbose(
     check answer is independently re-validated, and a failed certificate
     comes back as UNKNOWN with a :class:`CertificateReport` attached.
     """
-    if isinstance(script, str):
-        script = parse_script(script)
-    env = _Environment()
     solver = Solver(
         budget=budget, certification=certification, decision_seed=decision_seed
     )
+    return execute_script_on(solver, script)
+
+
+def execute_script_on(
+    solver: Solver, script: SMTScript | str
+) -> tuple[list[SolverResult], list[str]]:
+    """Run a script's commands against a caller-built ``solver``.
+
+    The command loop behind :func:`execute_script_verbose`.  The caller
+    keeps the instance afterwards, with the script's assertions loaded and
+    its grounded core built, so it can ask follow-up questions (such as a
+    ``check-sat-assuming``) without re-asserting anything.
+    """
+    if isinstance(script, str):
+        script = parse_script(script)
+    env = _Environment()
     results: list[SolverResult] = []
     outputs: list[str] = []
     for command in script.commands:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.solver.euf import EQ_PREDICATE
+
 Clause = tuple[int, ...]
 
 
@@ -20,6 +22,10 @@ class AtomPool:
     _by_key: dict[str, int] = field(default_factory=dict)
     _by_var: dict[int, str] = field(default_factory=dict)
     _next_var: int = 1
+    #: Set once a named atom involving equality or a function term is
+    #: interned: the EUF theory then has work to do (see
+    #: :func:`repro.solver.theory.needs_theory`).
+    has_theory_atoms: bool = False
 
     def variable_for(self, key: str) -> int:
         """SAT variable for the atom ``key``, allocating if new."""
@@ -29,6 +35,11 @@ class AtomPool:
             self._next_var += 1
             self._by_key[key] = var
             self._by_var[var] = key
+            if not self.has_theory_atoms and not key.startswith("$"):
+                # "name(args)": equality, or a parenthesis inside the
+                # arguments, which only a function term puts there.
+                name, _paren, args = key.partition("(")
+                self.has_theory_atoms = name == EQ_PREDICATE or "(" in args
         return var
 
     def fresh(self, hint: str = "aux") -> int:

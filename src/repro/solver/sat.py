@@ -11,6 +11,7 @@ solver: it learns clauses, backjumps non-chronologically, and restarts.
 
 from __future__ import annotations
 
+import heapq
 import time
 
 from repro.errors import BudgetExceededError, SolverError
@@ -103,6 +104,16 @@ class CDCLSolver:
         ]
         self._activity: list[float] = [0.0] * (num_vars + 1)
         self._activity_inc = 1.0
+        # Decision order: a binary heap of (-activity, var) entries, so the
+        # minimum is the highest-activity variable, lowest index on ties.
+        # Entries are removed lazily: _decide skips assigned variables and
+        # stale entries (ones whose activity has since been bumped).
+        # ``_in_heap[v]`` says v has an entry carrying its current activity;
+        # every unassigned variable always has one.
+        self._order: list[tuple[float, int]] = [
+            (-0.0, v) for v in range(1, num_vars + 1)
+        ]
+        self._in_heap: list[bool] = [False] + [True] * num_vars
         self._trail: list[int] = []
         self._trail_limits: list[int] = []
         self._queue_head = 0
@@ -137,6 +148,8 @@ class CDCLSolver:
             self._reasons.append(-1)
             self._phases.append(seeded_phase(self._num_vars, self.decision_seed))
             self._activity.append(0.0)
+            self._in_heap.append(True)
+            heapq.heappush(self._order, (-0.0, self._num_vars))
 
     def add_clause(
         self,
@@ -152,10 +165,12 @@ class CDCLSolver:
         """
         if self._trail_limits:
             raise SolverError("add_clause called mid-solve")
-        unique = sorted(set(lits), key=abs)
-        for lit in unique:
-            if -lit in unique:
+        lit_set = set(lits)
+        for lit in lit_set:
+            if -lit in lit_set:
                 return True  # tautology
+        # Sorting by variable is deterministic: only a tautology could tie.
+        unique = sorted(lit_set, key=abs)
         if self.proof is not None:
             # Log the clause before level-0 pruning: the checker re-derives
             # the pruning by unit propagation, so the log needs the original.
@@ -163,7 +178,7 @@ class CDCLSolver:
                 self.proof.log_theory(unique, theory_premise)
             else:
                 self.proof.log_input(unique)
-        self.ensure_vars(max((abs(l) for l in unique), default=0))
+        self.ensure_vars(abs(unique[-1]) if unique else 0)
         # Remove literals already false at level 0; detect satisfied clauses.
         pruned: list[int] = []
         for lit in unique:
@@ -294,6 +309,21 @@ class CDCLSolver:
             for v in range(1, self._num_vars + 1):
                 self._activity[v] *= 1.0 / _ACTIVITY_RESCALE
             self._activity_inc *= 1.0 / _ACTIVITY_RESCALE
+            self._rebuild_order()
+        elif self._in_heap[var]:
+            # The old entry is stale now; re-key the variable.
+            heapq.heappush(self._order, (-self._activity[var], var))
+
+    def _rebuild_order(self) -> None:
+        """Re-key the decision heap after every activity changed."""
+        in_heap = [False] * (self._num_vars + 1)
+        order = []
+        for v in range(1, self._num_vars + 1):
+            if self._values[v] == _UNASSIGNED:
+                in_heap[v] = True
+                order.append((-self._activity[v], v))
+        heapq.heapify(order)
+        self._order, self._in_heap = order, in_heap
 
     def _analyze(self, conflict_index: int) -> tuple[list[int], int]:
         """1UIP analysis: learned clause and backjump level."""
@@ -383,10 +413,14 @@ class CDCLSolver:
         if self._level <= level:
             return
         limit = self._trail_limits[level]
+        in_heap, order, activity = self._in_heap, self._order, self._activity
         for lit in reversed(self._trail[limit:]):
             var = abs(lit)
             self._values[var] = _UNASSIGNED
             self._reasons[var] = -1
+            if not in_heap[var]:
+                in_heap[var] = True
+                heapq.heappush(order, (-activity[var], var))
         del self._trail[limit:]
         del self._trail_limits[level:]
         self._queue_head = len(self._trail)
@@ -396,16 +430,19 @@ class CDCLSolver:
     # ------------------------------------------------------------------
 
     def _decide(self) -> int:
-        """Pick the unassigned variable with the highest activity, or 0."""
-        best_var = 0
-        best_act = -1.0
-        for var in range(1, self._num_vars + 1):
-            if self._values[var] == _UNASSIGNED and self._activity[var] > best_act:
-                best_var = var
-                best_act = self._activity[var]
-        if best_var == 0:
-            return 0
-        return best_var if self._phases[best_var] else -best_var
+        """Pick the unassigned variable with the highest activity, or 0.
+
+        Ties go to the lowest variable index.
+        """
+        order, activity, values = self._order, self._activity, self._values
+        while order:
+            neg_act, var = heapq.heappop(order)
+            if -neg_act != activity[var]:
+                continue  # stale: a later entry carries the current activity
+            self._in_heap[var] = False
+            if values[var] == _UNASSIGNED:
+                return var if self._phases[var] else -var
+        return 0
 
     # ------------------------------------------------------------------
     # Main loop

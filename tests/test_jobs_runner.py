@@ -25,6 +25,7 @@ import time
 
 import pytest
 
+import repro.jobs.runner as runner_module
 from repro import JobConfig, JobError, JobRunner, Verdict
 from repro.core.pipeline import ErrorOutcome
 from repro.jobs import (
@@ -552,6 +553,25 @@ class TestLoadShedding:
         assert set(counting.by_index.values()) <= {1}
         assert len(counting.by_index) + len(shed) == len(questions)
         assert all(o.pending_at_admission == 4 for o in shed)
+        assert runner._gate.depth == 0
+
+    def test_run_returns_after_the_last_slot_is_released(
+        self, pipeline, small_model, monkeypatch
+    ):
+        # A gate whose exit stalls before it frees the slot widens the
+        # window between a worker's last commit and its release.  run()
+        # must still find every slot free when it returns.
+        class SlowExitGate(AdmissionGate):
+            def exit(self) -> None:
+                time.sleep(0.05)
+                super().exit()
+
+        monkeypatch.setattr(runner_module, "AdmissionGate", SlowExitGate)
+        config = JobConfig(max_workers=2, max_pending=2)
+        runner = JobRunner(pipeline, small_model, config)
+        result = runner.run(QUESTIONS)
+        assert not result.aborted
+        assert isinstance(runner._gate, SlowExitGate)
         assert runner._gate.depth == 0
 
     def test_high_water_tracked(self, pipeline, small_model):

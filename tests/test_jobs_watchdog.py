@@ -16,11 +16,14 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 
 import pytest
 
+import repro.jobs.runner as runner_module
 from repro import JobConfig, JobRunner, Verdict
 from repro.jobs import StallOutcome, Watchdog
+from repro.jobs.admission import AdmissionGate
 from repro.jobs.faults import FakeClock, HangingQueryFn
 from repro.jobs.watchdog import WorkerHeartbeat
 
@@ -214,6 +217,48 @@ class TestStallInjection:
         assert resumed.restored == len(QUESTIONS)
         assert resumed.outcomes[1].as_dict() == result.outcomes[1].as_dict()
         assert resumed.outcomes[1].verdict is Verdict.UNKNOWN
+
+    def test_stall_that_completes_the_job_frees_its_slot_first(
+        self, pipeline, small_model, monkeypatch
+    ):
+        # The hung query is the last one, so the stall's commit completes
+        # the job.  A gate whose exit stalls before it frees the slot
+        # widens the window; run() must still return with no slot held.
+        class SlowExitGate(AdmissionGate):
+            def exit(self) -> None:
+                time.sleep(0.05)
+                super().exit()
+
+        monkeypatch.setattr(runner_module, "AdmissionGate", SlowExitGate)
+        clock = FakeClock()
+        questions = [QUESTIONS[0], HUNG_QUESTION]
+        hanging = HangingQueryFn(
+            pipeline, small_model, hang_questions=(HUNG_QUESTION,)
+        )
+        config = JobConfig(
+            max_workers=1,
+            stall_after=STALL_AFTER,
+            watchdog_thread=False,
+            handle_signals=False,
+        )
+        runner = JobRunner(
+            pipeline, small_model, config, clock=clock, query_fn=hanging
+        )
+        box = {}
+
+        def drive():
+            box["result"] = runner.run(questions)
+            box["depth"] = runner._gate.depth
+
+        thread = threading.Thread(target=drive)
+        thread.start()
+        assert hanging.hang_started.wait(timeout=10.0), "worker never wedged"
+        clock.advance(STALL_AFTER + 1.0)
+        assert len(runner.scan_stalls()) == 1
+        thread.join(timeout=30.0)
+        assert not thread.is_alive(), "job hung despite the watchdog"
+        assert isinstance(box["result"].outcomes[1], StallOutcome)
+        assert box["depth"] == 0
 
     def test_healthy_workers_never_flagged(self, pipeline, small_model):
         clock = FakeClock()

@@ -17,15 +17,24 @@ instead of sleeping, so "under load" means "provably in flight", not
 * **kill mid-request** — a hard stop with a request on the wire never
   corrupts the on-disk registry: a fresh daemon on the same root serves
   correct answers immediately.
+* **drain reply** — a ``POST /drain`` client gets its 202 even from a
+  process that exits as soon as the drain completes.
 """
 
 from __future__ import annotations
 
+import http.client
+import json
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import PolicyPipeline, PolicyServer, ServerConfig, ServingClient
 from repro.registry import MintSpec, PolicyRegistry
 
@@ -342,3 +351,63 @@ class TestKillMidRequest:
                 client.close()
         finally:
             reborn.stop()
+
+
+#: A ``repro serve`` stand-in that exits the moment ``serve_until_drained``
+#: returns.  ``begin_drain`` is slowed down after it returns: the handler
+#: thread that called it stalls there, as a descheduled thread would, while
+#: the foreground loop is free to drain and exit.
+_EXIT_ON_DRAIN = """\
+import os, sys, time
+from repro import PolicyPipeline, PolicyServer, ServerConfig
+
+real = PolicyServer.begin_drain
+
+def slow_begin_drain(self, *args, **kwargs):
+    initiated = real(self, *args, **kwargs)
+    time.sleep(1.0)
+    return initiated
+
+PolicyServer.begin_drain = slow_begin_drain
+server = PolicyServer(
+    ServerConfig(root=sys.argv[1], port=0, handle_signals=False),
+    pipeline=PolicyPipeline(),
+)
+server.start()
+print(server.address[1], flush=True)
+server.serve_until_drained()
+os._exit(0)
+"""
+
+
+class TestDrainReply:
+    @pytest.mark.parametrize("body", [None, b"{}"], ids=["no-body", "body"])
+    def test_http_drain_reply_survives_process_exit(self, pipeline, tmp_path, body):
+        root = mint_root(pipeline, tmp_path)
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _EXIT_ON_DRAIN, str(root)],
+            stdout=subprocess.PIPE,
+            env=env,
+        )
+        try:
+            port = int(proc.stdout.readline())
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10.0)
+            try:
+                conn.request("POST", "/drain", body=body)
+                response = conn.getresponse()
+                status, reply = response.status, json.loads(response.read())
+            finally:
+                conn.close()
+            assert status == 202
+            assert reply == {"draining": True, "initiated": True}
+            assert proc.wait(timeout=30.0) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()

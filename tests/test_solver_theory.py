@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import BudgetExceededError
 from repro.solver.cnf import tseitin
-from repro.solver.euf import EQ_PREDICATE
+from repro.solver.euf import EQ_PREDICATE, parse_atom
 from repro.solver.literals import AtomPool
 from repro.solver.result import SatResult
 from repro.solver.sat import CDCLSolver
@@ -45,6 +45,29 @@ class TestNeedsTheory:
         pool.variable_for("p(a)")
         pool.variable_for("flag")
         assert not needs_theory(pool)
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            ("p(a,b)", "q()", "flag", "$aux#3"),
+            ("p(a)", "p(a,f(b))"),
+            ("r(a,b,c)", "=(a,b)"),
+            ("=",),
+            ("p(g(h(a)),b)",),
+            ("$eq#1", "p(a)"),
+        ],
+    )
+    def test_interning_flag_matches_a_scan_of_the_named_atoms(self, keys):
+        # The flag is set as atoms are interned; the reference re-parses
+        # every named atom, as the check did before the flag existed.
+        pool = AtomPool()
+        for key in keys:
+            pool.variable_for(key)
+        expected = any(
+            name == EQ_PREDICATE or any("(" in a for a in args)
+            for name, args in map(parse_atom, pool.named_atoms())
+        )
+        assert needs_theory(pool) is expected
 
 
 class TestLazyLoop:
