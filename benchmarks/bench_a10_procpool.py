@@ -76,7 +76,7 @@ def test_a10_procpool_speedup_and_rescues():
     cores = os.cpu_count() or 1
 
     # (a) Thread backend shape: in-process solves on a thread pool.  The
-    # GIL serializes them — this is what query_batch's executor gets.
+    # GIL serializes them — this is what query_batch's workers get.
     start = time.perf_counter()
     with ThreadPoolExecutor(max_workers=WORKERS) as pool:
         thread_results = list(

@@ -2,8 +2,9 @@
 
 The ROADMAP's scaling direction: realistic workloads (fleet audits, legal
 compliance suites) ask dozens of queries against one ``PolicyModel``.
-``query_batch`` fans the suite out over a thread pool and shares repeated
-work through the model's translation/subgraph/verification caches.
+``query_batch`` fans the suite out over the job runner's worker threads
+and shares repeated work through the model's translation/subgraph/
+verification caches.
 
 Measures a repeated-term suite (the audit pattern: the same handful of
 compliance questions asked across report sections) sequentially with

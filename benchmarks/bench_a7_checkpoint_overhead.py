@@ -4,9 +4,9 @@ The supervised job runner (:mod:`repro.jobs`) streams every completed
 outcome into an append-only fsync'd journal so a killed audit resumes
 instead of restarting.  Durability that slows the common (no-crash) case
 down too much would never be left on, so this bench prices it: the A3
-repeated-term suite through plain ``query_batch`` versus a checkpointed
-``JobRunner``, cold caches both sides, best-of-N to squeeze out scheduler
-noise.
+repeated-term suite through plain ``query_batch`` (the runner with no
+journal) versus a checkpointed ``JobRunner``, cold caches both sides,
+best-of-N to squeeze out scheduler noise.
 
 Asserts the supervised run is verdict-identical to the plain batch and
 costs **< 10% wall-clock overhead** — the journal appends happen on the

@@ -25,7 +25,6 @@ Meta-scale policy corpora (:mod:`repro.corpus`).
 
 from repro.core.metrics import LatencyReservoir, PipelineMetrics
 from repro.core.pipeline import (
-    BatchOutcome,
     ErrorOutcome,
     PipelineConfig,
     PolicyModel,
@@ -79,7 +78,6 @@ __all__ = [
     "PipelineConfig",
     "QueryOutcome",
     "ErrorOutcome",
-    "BatchOutcome",
     "PipelineMetrics",
     "UpdateStats",
     "Verdict",

@@ -126,11 +126,12 @@ def _add_provider_options(sp) -> None:
     )
 
 
-def _build_provider_stack(args: argparse.Namespace):
+def _build_provider_stack(args: argparse.Namespace, *, resilient: bool = False):
     """Compose the LLM stack the provider/cassette flags describe.
 
-    Returns ``None`` when no provider flag is active, so callers fall
-    through to the pipeline's default backend.  The composed stack is
+    Returns ``None`` when no provider flag is active and ``resilient`` is
+    off, so callers fall through to the pipeline's default backend.  The
+    composed stack is
     ``CachedLLM(CircuitBreaker(RetryingLLM(RecordingLLM?(ProfiledLLM?(
     backend)))))`` — retries above the recorder so only completions that
     actually succeeded are captured, the profile injector at the bottom
@@ -144,7 +145,12 @@ def _build_provider_stack(args: argparse.Namespace):
         raise ReproError("--cassette requires --cassette-path FILE")
     if cassette_path and not cassette_mode:
         raise ReproError("--cassette-path requires --cassette record|replay")
-    if provider == "simulated" and not cassette_mode and not profile_name:
+    if (
+        provider == "simulated"
+        and not cassette_mode
+        and not profile_name
+        and not resilient
+    ):
         return None
 
     from repro.llm.client import CachedLLM, UsageStats
@@ -186,25 +192,10 @@ def _build_provider_stack(args: argparse.Namespace):
     )
 
 
-def _resilient_pipeline(args: argparse.Namespace, llm=None) -> PolicyPipeline:
-    """A pipeline with the LLM boundary wrapped and the ladder armed."""
-    from repro.core.pipeline import PipelineConfig
-    from repro.llm.client import CachedLLM, UsageStats
-    from repro.llm.simulated import SimulatedLLM
-    from repro.resilience import BudgetLadder, CircuitBreaker, RetryingLLM, RetryPolicy
+def _budget_ladder(args: argparse.Namespace):
+    """The degradation ladder ``--ladder``/``--no-decompose`` describe."""
+    from repro.resilience import BudgetLadder
 
-    if llm is None:
-        stats = UsageStats()
-        llm = CachedLLM(
-            CircuitBreaker(
-                RetryingLLM(
-                    SimulatedLLM(),
-                    RetryPolicy(max_retries=args.max_retries),
-                    stats=stats,
-                ),
-                stats=stats,
-            )
-        )
     try:
         multipliers = tuple(
             float(m) for m in args.ladder.split(",") if m.strip()
@@ -212,34 +203,11 @@ def _resilient_pipeline(args: argparse.Namespace, llm=None) -> PolicyPipeline:
     except ValueError:
         raise ReproError(f"invalid --ladder value: {args.ladder!r}") from None
     try:
-        ladder = BudgetLadder(
+        return BudgetLadder(
             multipliers=multipliers, decompose=not args.no_decompose
         )
     except ValueError as exc:
         raise ReproError(f"invalid --ladder value: {exc}") from None
-    return PolicyPipeline(llm=llm, config=PipelineConfig(budget_ladder=ladder))
-
-
-def _apply_query_timeout(pipeline: PolicyPipeline, timeout: float | None) -> None:
-    """Compose a per-query wall-clock ceiling onto the solver budget.
-
-    The effective deadline is ``min(configured, --timeout)`` — tightening
-    only, so the paper-calibrated default never silently grows; without
-    ``--timeout`` the budget is untouched.
-    """
-    if timeout is None:
-        return
-    if timeout <= 0:
-        raise ReproError(f"--timeout must be > 0, got {timeout}")
-    from dataclasses import replace
-
-    base = pipeline.config.solver_budget
-    effective = (
-        timeout
-        if base.timeout_seconds is None
-        else min(base.timeout_seconds, timeout)
-    )
-    pipeline.config.solver_budget = replace(base, timeout_seconds=effective)
 
 
 def _add_backend_options(sp) -> None:
@@ -263,38 +231,71 @@ def _add_backend_options(sp) -> None:
     )
 
 
-def _apply_backend(pipeline: PolicyPipeline, args: argparse.Namespace) -> None:
-    """Map --backend/--portfolio onto the pipeline config."""
+def _build_pipeline(
+    args: argparse.Namespace, *, timeout: float | None = None
+) -> PolicyPipeline:
+    """The pipeline the provider, ``--resilient`` and backend flags describe.
+
+    ``--resilient`` wraps the LLM boundary even without provider flags and
+    arms the degradation ladder.  ``timeout`` caps the solver deadline as
+    ``min(configured, timeout)`` (tightening only); the job commands pass
+    theirs through ``JobConfig.query_timeout`` instead.
+    """
+    from repro.core.pipeline import PipelineConfig
+
+    resilient = getattr(args, "resilient", False)
+    llm = _build_provider_stack(args, resilient=resilient)
+    config = PipelineConfig()
+    if resilient:
+        config.budget_ladder = _budget_ladder(args)
+    if timeout is not None:
+        if timeout <= 0:
+            raise ReproError(f"--timeout must be > 0, got {timeout}")
+        config.solver_budget = config.solver_budget.tightened(timeout)
     backend = getattr(args, "backend", "thread")
     portfolio = getattr(args, "portfolio", 0)
     if portfolio < 0:
         raise ReproError(f"--portfolio must be >= 0, got {portfolio}")
     if portfolio and backend != "process":
         raise ReproError("--portfolio requires --backend process")
-    pipeline.config.execution_backend = backend
+    config.execution_backend = backend
     if portfolio:
         from repro.procpool import PortfolioConfig
 
-        pipeline.config.portfolio = PortfolioConfig(
-            seeds=tuple(range(1, portfolio + 1))
-        )
+        config.portfolio = PortfolioConfig(seeds=tuple(range(1, portfolio + 1)))
+    return PolicyPipeline(llm=llm, config=config)
+
+
+def _print_stats(pipeline: PolicyPipeline, *parts: PipelineMetrics) -> None:
+    """The ``--stats`` block: ``parts`` merged with the pipeline's lifetime
+    counters, after folding in the LLM stack's live resilience state
+    (breaker, retries, provider/cassette totals)."""
+    pipeline.sync_resilience_metrics()
+    stats = PipelineMetrics(queries=0)
+    for part in (*parts, pipeline.metrics):
+        stats.merge(part)
+    print("\n--- pipeline metrics ---")
+    print(stats.render())
+
+
+def _write_json(path: str | None, payload: object, what: str = "results") -> None:
+    """``--json FILE``: write ``payload`` atomically and say so."""
+    if not path:
+        return
+    from repro.store.atomic import atomic_write_json
+
+    atomic_write_json(path, payload)
+    print(f"wrote JSON {what} to {path}")
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
     from repro.core.verify import is_certification_failure
 
-    llm = _build_provider_stack(args)
-    pipeline = (
-        _resilient_pipeline(args, llm=llm)
-        if args.resilient
-        else PolicyPipeline(llm=llm)
-    )
+    pipeline = _build_pipeline(args, timeout=args.timeout)
     if args.certify is not None:
         pipeline.config.certify = args.certify
     if args.quarantine:
         pipeline.config.certification_quarantine_dir = args.quarantine
-    _apply_query_timeout(pipeline, args.timeout)
-    _apply_backend(pipeline, args)
     if args.from_snapshot:
         model = pipeline.load_model(args.from_snapshot)
     else:
@@ -306,15 +307,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         print("\n--- SMT-LIB script ---")
         print(outcome.verification.smtlib_text)
     if args.stats:
-        # Fold the LLM stack's live resilience state (breaker, retries,
-        # provider/cassette counters) into the lifetime metrics, then
-        # merge with the per-query stage accounting for one report.
-        pipeline.sync_resilience_metrics()
-        stats = PipelineMetrics(queries=0)
-        stats.merge(outcome.metrics)
-        stats.merge(pipeline.metrics)
-        print("\n--- pipeline metrics ---")
-        print(stats.render())
+        _print_stats(pipeline, outcome.metrics)
     # Exit code communicates the verdict for scripting: 0 valid, 1 invalid,
     # 2 unknown (3 is reserved for errors, matching ErrorOutcome batches;
     # 5 flags the certification soundness alarm, a special UNKNOWN).
@@ -524,7 +517,7 @@ def _job_config(args: argparse.Namespace):
 
 
 def _render_job_result(
-    result, args: argparse.Namespace, pipeline: PolicyPipeline | None = None
+    result, args: argparse.Namespace, pipeline: PolicyPipeline
 ) -> None:
     from repro.jobs import CheckpointedOutcome
 
@@ -546,21 +539,8 @@ def _render_job_result(
             file=sys.stderr,
         )
     if args.stats:
-        stats = result.metrics
-        if pipeline is not None:
-            # Fold the LLM stack's resilience counters (retries, breaker
-            # state, provider/cassette totals) into the report.
-            pipeline.sync_resilience_metrics()
-            stats = PipelineMetrics(queries=0)
-            stats.merge(result.metrics)
-            stats.merge(pipeline.metrics)
-        print("\n--- pipeline metrics ---")
-        print(stats.render())
-    if args.json:
-        from repro.store.atomic import atomic_write_json
-
-        atomic_write_json(args.json, result.as_dict())
-        print(f"wrote JSON results to {args.json}")
+        _print_stats(pipeline, result.metrics)
+    _write_json(args.json, result.as_dict())
 
 
 def _job_exit_code(result) -> int:
@@ -617,9 +597,7 @@ def _cmd_registry_list(args: argparse.Namespace) -> int:
 def _cmd_registry_query(args: argparse.Namespace) -> int:
     from repro.registry import PolicyRegistry
 
-    pipeline = PolicyPipeline(llm=_build_provider_stack(args))
-    _apply_query_timeout(pipeline, args.timeout)
-    _apply_backend(pipeline, args)
+    pipeline = _build_pipeline(args)
     if args.resume and not args.checkpoint:
         raise ReproError("--resume requires --checkpoint DIR")
     registry = PolicyRegistry(
@@ -654,17 +632,8 @@ def _cmd_registry_query(args: argparse.Namespace) -> int:
     if args.stats:
         # Job counters plus the pipeline-lifetime registry/store counters
         # (hits, shard loads, evictions) — disjoint by construction.
-        pipeline.sync_resilience_metrics()
-        stats = PipelineMetrics(queries=0)
-        stats.merge(report.job.metrics)
-        stats.merge(pipeline.metrics)
-        print("\n--- pipeline metrics ---")
-        print(stats.render())
-    if args.json:
-        from repro.store.atomic import atomic_write_json
-
-        atomic_write_json(args.json, report.as_dict())
-        print(f"wrote JSON results to {args.json}")
+        _print_stats(pipeline, report.job.metrics)
+    _write_json(args.json, report.as_dict())
     pipeline.shutdown()
     return _job_exit_code(report.job)
 
@@ -692,9 +661,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise ReproError(f"invalid serve options: {exc}") from None
-    pipeline = PolicyPipeline(llm=_build_provider_stack(args))
-    _apply_backend(pipeline, args)
-    server = PolicyServer(config, pipeline=pipeline)
+    server = PolicyServer(config, pipeline=_build_pipeline(args))
     try:
         server.start()
     except ServerError as exc:
@@ -709,11 +676,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     report = server.serve_until_drained()
     print(report.summary())
     if args.stats:
-        print("\n--- pipeline metrics ---")
-        server.pipeline.sync_resilience_metrics()
-        stats = server.metrics
-        stats.merge(server.pipeline.metrics)
-        print(stats.render())
+        _print_stats(server.pipeline, server.metrics)
     return 0
 
 
@@ -728,13 +691,11 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
             print()
             print(plan.summary())
             print("\nrun again with --repair to apply this plan")
-        if args.json:
-            from repro.store.atomic import atomic_write_json
-
-            atomic_write_json(
-                args.json, {"report": report.as_dict(), "plan": plan.as_dict()}
-            )
-            print(f"wrote JSON report to {args.json}")
+        _write_json(
+            args.json,
+            {"report": report.as_dict(), "plan": plan.as_dict()},
+            "report",
+        )
         return 0 if report.clean else 9
 
     had_unrepairable = bool(plan.unrepairable)
@@ -745,45 +706,30 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
     after = run_fsck(args.path)
     print()
     print("post-repair " + after.summary())
-    if args.json:
-        from repro.store.atomic import atomic_write_json
-
-        atomic_write_json(
-            args.json,
-            {
-                "report": report.as_dict(),
-                "plan": plan.as_dict(),
-                "post_repair": after.as_dict(),
-            },
-        )
-        print(f"wrote JSON report to {args.json}")
+    _write_json(
+        args.json,
+        {
+            "report": report.as_dict(),
+            "plan": plan.as_dict(),
+            "post_repair": after.as_dict(),
+        },
+        "report",
+    )
     return 0 if after.clean and not had_unrepairable else 9
 
 
-def _cmd_batch_run(args: argparse.Namespace) -> int:
+def _cmd_batch(args: argparse.Namespace) -> int:
+    """``batch run`` and ``batch resume``: one JobRunner over the policy."""
     from repro.jobs import JobRunner
 
-    pipeline = PolicyPipeline(llm=_build_provider_stack(args))
-    _apply_query_timeout(pipeline, args.timeout)
-    _apply_backend(pipeline, args)
+    config = _job_config(args)
+    pipeline = _build_pipeline(args)
     model = pipeline.process(_read_policy(args.policy))
-    questions = _read_questions(args.queries)
-    runner = JobRunner(pipeline, model, _job_config(args))
-    result = runner.run(questions)
-    pipeline.shutdown()
-    _render_job_result(result, args, pipeline=pipeline)
-    return _job_exit_code(result)
-
-
-def _cmd_batch_resume(args: argparse.Namespace) -> int:
-    from repro.jobs import JobRunner
-
-    pipeline = PolicyPipeline(llm=_build_provider_stack(args))
-    _apply_query_timeout(pipeline, args.timeout)
-    _apply_backend(pipeline, args)
-    model = pipeline.process(_read_policy(args.policy))
-    runner = JobRunner(pipeline, model, _job_config(args))
-    result = runner.resume()
+    runner = JobRunner(pipeline, model, config)
+    if args.batch_command == "run":
+        result = runner.run(_read_questions(args.queries))
+    else:
+        result = runner.resume()
     pipeline.shutdown()
     _render_job_result(result, args, pipeline=pipeline)
     return _job_exit_code(result)
@@ -1157,7 +1103,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="path to a queries file (one question per line, # comments)",
     )
     _add_batch_options(s, checkpoint_required=False)
-    s.set_defaults(func=_cmd_batch_run)
+    s.set_defaults(func=_cmd_batch)
 
     s = batch.add_parser(
         "resume",
@@ -1168,7 +1114,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     s.add_argument("policy", help="path to the policy text file of the job")
     _add_batch_options(s, checkpoint_required=True)
-    s.set_defaults(func=_cmd_batch_resume)
+    s.set_defaults(func=_cmd_batch)
 
     return parser
 

@@ -6,7 +6,7 @@ wall time each stage cost, how often the per-model memoization caches
 answered instead, and the solver work the verification stage performed.
 One instance is attached to every :class:`~repro.core.pipeline.QueryOutcome`;
 :meth:`PipelineMetrics.merge` folds the per-query instances into the
-:class:`~repro.core.pipeline.BatchOutcome` summary.
+:class:`~repro.jobs.runner.JobResult` summary.
 """
 
 from __future__ import annotations

@@ -15,8 +15,6 @@ yields identical vectors and only one wins the insert.
 from __future__ import annotations
 
 import io
-import os
-import tempfile
 import threading
 from pathlib import Path
 
@@ -114,29 +112,14 @@ class EmbeddingStore:
     def save(self, path: str | Path) -> None:
         """Persist keys and vectors to an ``.npz`` file, atomically.
 
-        The payload lands in a temporary file in the destination directory
-        and is renamed into place, so an existing store file is either
-        fully replaced or left untouched — never truncated by a crash
-        mid-write.
+        The write goes through :func:`repro.store.atomic.atomic_write_bytes`,
+        so an existing store file is either fully replaced or left
+        untouched — never truncated by a crash mid-write.
         """
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = self.to_bytes()
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        # Imported here: repro.store imports the pipeline, which imports us.
+        from repro.store.atomic import atomic_write_bytes
+
+        atomic_write_bytes(path, self.to_bytes())
 
     @classmethod
     def from_bytes(

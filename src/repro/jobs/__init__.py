@@ -1,13 +1,14 @@
 """Supervised batch jobs: watchdog, admission control, checkpoint/resume.
 
-The operability layer over
-:meth:`~repro.core.pipeline.PolicyPipeline.query_batch`: a
-:class:`JobRunner` runs a question suite with per-query heartbeats and a
-stall watchdog (hung workers are cooperatively cancelled and replaced,
-their slots filled with structured UNKNOWNs), a bounded admission gate
-(backpressure by default, load shedding above a configurable depth), and
-an append-only fsync'd checkpoint journal so a killed job resumes from
-its last committed record instead of starting over.
+The one engine behind
+:meth:`~repro.core.pipeline.PolicyPipeline.query_batch`, ``run_job`` and
+fleet queries: a :class:`JobRunner` runs a question suite with per-query
+heartbeats and a stall watchdog (hung workers are cooperatively cancelled
+and replaced, their slots filled with structured UNKNOWNs), a bounded
+admission gate (backpressure by default, load shedding above a
+configurable depth), and an append-only fsync'd checkpoint journal so a
+killed job resumes from its last committed record instead of starting
+over.
 
 Typical use::
 

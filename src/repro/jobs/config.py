@@ -18,10 +18,11 @@ from repro.jobs.admission import check_admission_bounds
 class JobConfig:
     """Supervision knobs for one :class:`~repro.jobs.runner.JobRunner`.
 
-    The defaults keep a job byte-identical to a plain
-    :meth:`~repro.core.pipeline.PolicyPipeline.query_batch` run: no
+    The defaults keep a job's traces byte-identical to a sequential
+    :meth:`~repro.core.pipeline.PolicyPipeline.query` loop: no
     checkpointing, no watchdog, admission bounded generously with pure
-    backpressure (nothing shed).
+    backpressure (nothing shed).  ``query_batch`` runs these defaults
+    with ``handle_signals=False``.
     """
 
     max_workers: int | None = None  # None: min(DEFAULT_BATCH_WORKERS, n)

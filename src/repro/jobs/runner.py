@@ -1,10 +1,12 @@
-"""Supervised batch jobs: the :class:`JobRunner` around ``query_batch``.
+"""Batch jobs: the :class:`JobRunner`, the one engine that runs a question list.
 
-``PolicyPipeline.query_batch`` fans a question suite over worker threads
-and isolates per-query *exceptions* — but a hung worker stalls the whole
-batch forever, a process kill discards every finished verdict, and there
-is no admission bound between a flooding caller and worker memory.  The
-runner adds the three supervision layers a long-running audit needs:
+The runner fans a question suite over worker threads, keeps outcomes in
+input order, and isolates per-query *exceptions*: a query that raises
+becomes an :class:`~repro.core.pipeline.ErrorOutcome` in its slot.
+``PolicyPipeline.query_batch`` is its unsupervised default (no journal,
+no watchdog, no signal handlers); ``run_job``, ``batch run``, fleet
+queries and ``POST /fleet`` configure the three supervision layers a
+long-running audit needs on top:
 
 * **liveness** — per-query heartbeats scanned by a
   :class:`~repro.jobs.watchdog.Watchdog`; a stalled query is cooperatively
@@ -25,8 +27,10 @@ runner adds the three supervision layers a long-running audit needs:
 SIGINT/SIGTERM trigger a graceful drain: no new queries start, in-flight
 queries finish and are checkpointed, and the :class:`JobResult` comes back
 ``aborted`` with its pending set intact for a later ``resume``.
-``KeyboardInterrupt``/``SystemExit`` raised *inside* a worker are never
-converted into per-query errors — they abort the job and propagate.
+``KeyboardInterrupt``/``SystemExit`` raised *inside* a worker (or in the
+feeding thread, when no drain handlers are installed) are never converted
+into per-query errors — they abort the job, no queued query starts after
+them, and they propagate.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import queue
 import signal
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.metrics import PipelineMetrics, merged
@@ -198,6 +202,11 @@ class JobResult:
         return [o for o in self.outcomes if o is not None and o.failed]
 
     @property
+    def succeeded(self) -> list[JobOutcome]:
+        """The completed queries that did not fail, in input order."""
+        return [o for o in self.outcomes if o is not None and not o.failed]
+
+    @property
     def verdicts(self) -> list[Verdict | None]:
         return [None if o is None else o.verdict for o in self.outcomes]
 
@@ -217,8 +226,13 @@ class JobResult:
         line = (
             f"{len(self.completed)}/{len(self.questions)} queries in "
             f"{self.seconds:.2f}s ({self.max_workers} workers): "
-            f"{counts or 'no verdicts'}"
+            f"{counts or 'no verdicts'}; "
+            f"cache hit rate {self.metrics.hit_rate:.1%} "
+            f"({self.metrics.cache_hits} hits / {self.metrics.cache_misses} misses)"
         )
+        errors = self.errors
+        if errors:
+            line += f"; {len(errors)} isolated failures"
         if self.restored:
             line += f"; {self.restored} restored from checkpoint"
         if self.stalls:
@@ -233,6 +247,7 @@ class JobResult:
         return {
             "questions": len(self.questions),
             "completed": len(self.completed),
+            "errors": len(self.errors),
             "pending": self.pending,
             "aborted": self.aborted,
             "restored": self.restored,
@@ -254,9 +269,12 @@ class JobRunner:
     A runner is single-use per job run (``run``/``resume`` may be called
     again, each call is a fresh execution over the same pipeline/model).
     ``query_fn(index, question, certify, heartbeat)`` is the execution
-    seam: the default calls :meth:`PolicyPipeline.query` with the same
-    certification stride as ``query_batch``; tests substitute hanging or
-    counting functions.  ``journal_step`` is the crash-injection hook
+    seam: the default is :meth:`query` against this runner's model (the
+    fleet substitutes one that loads each company's model first); tests
+    substitute hanging or counting functions.  ``certify`` follows
+    ``PipelineConfig.batch_certify_stride``: every stride-th question by
+    input index runs the certifier, so the sample is deterministic and
+    thread-order-free.  ``journal_step`` is the crash-injection hook
     threaded into every checkpoint append (see :mod:`repro.store.faults`).
     """
 
@@ -499,6 +517,13 @@ class JobRunner:
                         if not any(hb.busy for hb in self._heartbeats):
                             break
                 self._done.wait(0.02)
+        except BaseException as exc:
+            # An interrupt in this thread (Ctrl-C without the drain
+            # handlers) stops the workers as a worker's own abort would.
+            with self._lock:
+                if self._fatal is None:
+                    self._fatal = exc
+            raise
         finally:
             self._restore_signal_handlers(old_handlers)
             if self._watchdog is not None:
@@ -542,28 +567,32 @@ class JobRunner:
             ),
         )
 
-    def _default_query(self, index, question, certify, heartbeat):
+    def query(self, model, question, certify, heartbeat):
+        """One question against ``model`` under this job's limits.
+
+        ``JobConfig.query_timeout`` tightens the solver budget
+        (:meth:`~repro.solver.interface.SolverBudget.tightened`), and the
+        worker's stall-cancellation event is the pipeline's abort seam:
+        under the process execution backend a stalled solve is hard-killed
+        when the watchdog cancels this worker, so the CPU is actually
+        reclaimed (the thread backend can only abandon the thread — see
+        :mod:`repro.jobs.watchdog`).
+        """
         budget = None
         if self.config.query_timeout is not None:
-            base = self.pipeline.config.solver_budget
-            effective = (
+            budget = self.pipeline.config.solver_budget.tightened(
                 self.config.query_timeout
-                if base.timeout_seconds is None
-                else min(base.timeout_seconds, self.config.query_timeout)
             )
-            budget = replace(base, timeout_seconds=effective)
-        # Pass the stall-cancellation event down as the pipeline's abort
-        # seam: under the process execution backend a stalled solve is
-        # hard-killed when the watchdog cancels this worker, so the CPU
-        # is actually reclaimed (the thread backend can only abandon the
-        # thread — see repro.jobs.watchdog).
         return self.pipeline.query(
-            self.model,
+            model,
             question,
             budget=budget,
             certify=certify,
             cancel=heartbeat.cancelled,
         )
+
+    def _default_query(self, index, question, certify, heartbeat):
+        return self.query(self.model, question, certify, heartbeat)
 
     def _spawn_worker(self) -> WorkerHeartbeat:
         # Caller holds self._lock.
@@ -586,9 +615,11 @@ class JobRunner:
         while True:
             item = items.get()
             with self._lock:
-                # A drained job starts nothing new: the item's slot stays
-                # None, pending in the checkpoint.
-                closing = item is None or self._drain_applied
+                # A drained or aborted job starts nothing new: the item's
+                # slot stays None, pending in the checkpoint.
+                closing = (
+                    item is None or self._drain_applied or self._fatal is not None
+                )
                 if not closing:
                     index, question = item
                     hb.begin(index, question, self.clock.now())

@@ -8,11 +8,8 @@ talks to GPT-4o-mini.  A production deployment would implement
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
-import os
-import tempfile
 import threading
 import warnings
 from dataclasses import dataclass, field
@@ -228,27 +225,19 @@ class CachedLLM:
     def flush(self) -> None:
         """Persist the cache if a path was configured.
 
-        The write is atomic: the payload goes to a temporary file in the
-        destination directory and is moved into place with ``os.replace``,
-        so a crash mid-flush leaves either the old cache or the new one,
-        never a truncated hybrid.
+        The write goes through :func:`repro.store.atomic.atomic_write_text`
+        (temp file, fsync, rename, directory fsync), so a crash mid-flush
+        leaves either the old cache or the new one, never a truncated
+        hybrid.
         """
         if not self._cache_path:
             return
-        self._cache_path.parent.mkdir(parents=True, exist_ok=True)
+        # Imported here: repro.store imports the pipeline, which imports us.
+        from repro.store.atomic import atomic_write_text
+
         with self._lock:
             payload = json.dumps(self._cache, indent=0, sort_keys=True)
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=self._cache_path.name + ".", dir=self._cache_path.parent
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-            os.replace(tmp_name, self._cache_path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp_name)
-            raise
+        atomic_write_text(self._cache_path, payload)
 
     def __len__(self) -> int:
         with self._lock:

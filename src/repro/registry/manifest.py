@@ -19,6 +19,7 @@ manifest entry pointing at a store that does not exist.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,6 +32,16 @@ MANIFEST_NAME = "REGISTRY.json"
 
 #: Bumped when the on-disk layout changes incompatibly.
 FORMAT_VERSION = 1
+
+
+def company_digest(company: str) -> str:
+    """sha256 hex of a company name (its shard and store-directory suffix)."""
+    return hashlib.sha256(company.encode("utf-8")).hexdigest()
+
+
+def shard_for(company: str, num_shards: int) -> str:
+    """Stable shard assignment: ``sha256(company) mod num_shards``."""
+    return f"shard-{int(company_digest(company), 16) % num_shards:02d}"
 
 
 @dataclass(frozen=True, slots=True)

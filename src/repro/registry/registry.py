@@ -25,7 +25,6 @@ to load (quarantined/corrupt snapshots) surfaces as that company's
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 from dataclasses import dataclass, field
@@ -45,7 +44,9 @@ from repro.registry.lru import WarmCache
 from repro.registry.manifest import (
     Manifest,
     RegistryEntry,
+    company_digest,
     read_manifest,
+    shard_for,
     write_manifest,
 )
 from repro.registry.sectors import DEFAULT_SECTORS, SECTOR_PROFILES
@@ -55,10 +56,6 @@ from repro.store.snapshot import SnapshotStore
 #: Derives per-company generator seeds from (spec seed, company index);
 #: a large odd multiplier keeps neighbouring spec seeds from colliding.
 _SEED_STRIDE = 1_000_003
-
-
-def _company_digest(company: str) -> str:
-    return hashlib.sha256(company.encode("utf-8")).hexdigest()
 
 
 @dataclass(slots=True)
@@ -197,8 +194,7 @@ class PolicyRegistry:
 
     def shard_of(self, company: str) -> str:
         """Stable shard assignment: sha256(company) mod ``num_shards``."""
-        bucket = int(_company_digest(company), 16) % self.num_shards
-        return f"shard-{bucket:02d}"
+        return shard_for(company, self.num_shards)
 
     def store_for(self, company: str) -> SnapshotStore:
         """The snapshot store behind a registered company."""
@@ -281,7 +277,7 @@ class PolicyRegistry:
             model.provenance = provenance
             shard = self.shard_of(company)
             store_dir = (
-                f"shards/{shard}/{company}-{_company_digest(company)[:8]}"
+                f"shards/{shard}/{company}-{company_digest(company)[:8]}"
             )
             store = SnapshotStore(self.root / store_dir, step=self._step)
             store.commit(model)
@@ -339,15 +335,16 @@ class PolicyRegistry:
                 # say the *registry* (not the query) failed.
                 exc.pipeline_stage = "registry"
                 raise
-            return self.pipeline.query(model, question, certify=certify)
+            return runner.query(model, question, certify, heartbeat)
 
-        return JobRunner(
+        runner = JobRunner(
             self.pipeline,
             identity,
             config if config is not None else JobConfig(handle_signals=False),
             query_fn=query_fn,
             journal_step=journal_step,
         )
+        return runner
 
     def _count_fanout(self, roster: list[str]) -> None:
         with self._metrics_lock:

@@ -15,10 +15,11 @@ through its layers:
   and falls back to per-data-branch decomposition, reporting every step in
   a :class:`DegradationReport`;
 * the **batch boundary** — fault isolation lives in
-  :meth:`repro.core.pipeline.PolicyPipeline.query_batch`, which converts
+  :class:`repro.jobs.JobRunner` (behind
+  :meth:`repro.core.pipeline.PolicyPipeline.query_batch`), which converts
   per-query failures into structured
   :class:`~repro.core.pipeline.ErrorOutcome` records instead of aborting
-  the executor.
+  the batch.
 
 Everything here contains failures *inside* one process run; the layer
 above it — :mod:`repro.jobs` — supervises the run itself (hung-worker

@@ -134,7 +134,10 @@ class BudgetStarvingPipeline(PolicyPipeline):
         *,
         budget: SolverBudget | None = None,
         certify: bool | None = None,
+        cancel=None,
     ) -> QueryOutcome:
         if self.is_starved(question):
             budget = self._starved_budget
-        return super().query(model, question, budget=budget, certify=certify)
+        return super().query(
+            model, question, budget=budget, certify=certify, cancel=cancel
+        )

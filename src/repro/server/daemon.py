@@ -41,7 +41,7 @@ import socket
 import sys
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.core.metrics import LatencyReservoir, PipelineMetrics
@@ -544,13 +544,7 @@ class PolicyServer:
         return min(float(requested), self.config.default_deadline)
 
     def _tightened_budget(self, remaining: float):
-        base = self.pipeline.config.solver_budget
-        effective = (
-            remaining
-            if base.timeout_seconds is None
-            else min(base.timeout_seconds, remaining)
-        )
-        return replace(base, timeout_seconds=effective)
+        return self.pipeline.config.solver_budget.tightened(remaining)
 
     def _default_query(self, model, question, budget, certify):
         return self.pipeline.query(

@@ -18,7 +18,7 @@ shares only the immutable :class:`SolverBudget` across threads.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.errors import BudgetExceededError, SolverError
 from repro.fol.formula import Formula, Not, Predicate
@@ -78,6 +78,17 @@ class SolverBudget:
                 else self.timeout_seconds * factor
             ),
         )
+
+    def tightened(self, seconds: float) -> "SolverBudget":
+        """This budget with its deadline capped at ``seconds``.
+
+        The deadline becomes ``min(timeout_seconds, seconds)`` — tightening
+        only, so a caller's ceiling never loosens a configured limit; an
+        unbounded deadline (``None``) takes ``seconds``.
+        """
+        if self.timeout_seconds is not None:
+            seconds = min(self.timeout_seconds, seconds)
+        return replace(self, timeout_seconds=seconds)
 
 
 @dataclass(frozen=True, slots=True)

@@ -10,6 +10,8 @@ companies whose verdicts never reached the journal.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro import JobConfig, JobError
@@ -74,6 +76,39 @@ class TestWorkerCountParity:
         assert first.digest() != registry.query_fleet(
             QUESTION, config=JobConfig(max_workers=1)
         ).digest()  # roster is part of the identity
+
+
+class TestFleetQueryLimits:
+    def test_queries_get_the_job_budget_and_cancel_event(
+        self, registry, monkeypatch
+    ):
+        # JobConfig.query_timeout tightens every company's solver budget,
+        # and the worker's cancel event reaches the pipeline (the seam the
+        # process backend hard-kills a stalled solve through).
+        pipeline = registry.pipeline
+        real_query = pipeline.query
+        calls = []
+
+        def spy(model, question, **kwargs):
+            calls.append(kwargs)
+            return real_query(model, question, **kwargs)
+
+        monkeypatch.setattr(pipeline, "query", spy)
+        roster = registry.companies()[:2]
+        report = registry.query_fleet(
+            QUESTION,
+            roster,
+            config=JobConfig(handle_signals=False, query_timeout=5.0),
+        )
+        assert not report.aborted
+        assert len(calls) == len(roster)
+        base = pipeline.config.solver_budget
+        for kwargs in calls:
+            budget = kwargs.get("budget")
+            assert budget is not None
+            assert budget.timeout_seconds == min(5.0, base.timeout_seconds or 5.0)
+            assert budget.max_conflicts == base.max_conflicts
+            assert isinstance(kwargs.get("cancel"), threading.Event)
 
 
 class TestKillResumeParity:

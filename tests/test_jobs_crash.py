@@ -50,9 +50,8 @@ def _config(tmp_path) -> JobConfig:
 
 @pytest.fixture(scope="module")
 def baseline(pipeline, small_model):
-    """Uninterrupted single-worker traces: what every resume must equal."""
-    batch = pipeline.query_batch(small_model, QUESTIONS, max_workers=1)
-    return [_trace(o) for o in batch.outcomes]
+    """Sequential ``pipeline.query`` traces: what every resume must equal."""
+    return [_trace(pipeline.query(small_model, q)) for q in QUESTIONS]
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ Fast suite (no markers): admission through the gate that bounds the
 runner's item queue (the gate's serving side is in ``test_server.py``),
 journal recovery —
 including the two corruptions an append-only log can suffer, a torn final
-record and a replayed (duplicated) append — runner/`query_batch` trace
+record and a replayed (duplicated) append — runner/sequential-query trace
 parity, resume-only-the-pending behaviour, BaseException propagation
 (KeyboardInterrupt must abort, never become a per-query ErrorOutcome),
 graceful drain, and per-query timeout composition.
@@ -58,9 +58,8 @@ def _trace(outcome) -> str:
 
 @pytest.fixture(scope="module")
 def baseline(pipeline, small_model):
-    """Uninterrupted query_batch traces — the byte-identity reference."""
-    batch = pipeline.query_batch(small_model, QUESTIONS, max_workers=1)
-    return [_trace(o) for o in batch.outcomes]
+    """Sequential ``pipeline.query`` traces — the byte-identity reference."""
+    return [_trace(pipeline.query(small_model, q)) for q in QUESTIONS]
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +608,61 @@ class TestInterruptPropagation:
         monkeypatch.setattr(pipeline, "query", exiting)
         with pytest.raises(SystemExit):
             pipeline.query_batch(small_model, QUESTIONS, max_workers=2)
+
+    def test_no_query_starts_after_a_worker_abort(self, pipeline, small_model):
+        # Once run() has re-raised a worker's BaseException, the surviving
+        # workers must not start the items still queued.
+        started: list[int] = []
+        other_busy = threading.Event()
+
+        def query_fn(index, question, certify, heartbeat):
+            if index == 0:
+                other_busy.wait(5.0)
+                raise KeyboardInterrupt
+            started.append(index)
+            other_busy.set()
+            time.sleep(0.02)
+            return pipeline.query(small_model, question, certify=False)
+
+        config = JobConfig(max_workers=2, handle_signals=False)
+        runner = JobRunner(pipeline, small_model, config, query_fn=query_fn)
+        with pytest.raises(KeyboardInterrupt):
+            runner.run(QUESTIONS * 10)
+        at_raise = len(started)
+        time.sleep(0.3)
+        assert len(started) == at_raise
+        assert at_raise < len(QUESTIONS * 10) - 1
+
+    def test_interrupt_in_feeding_thread_stops_the_workers(
+        self, pipeline, small_model, monkeypatch
+    ):
+        # Ctrl-C with no drain handlers lands in the thread that feeds the
+        # queue; items it already admitted must not start after the raise.
+        class InterruptingGate(AdmissionGate):
+            entered = 0
+
+            def enter(self, **kwargs):
+                InterruptingGate.entered += 1
+                if InterruptingGate.entered == 3:
+                    raise KeyboardInterrupt
+                return super().enter(**kwargs)
+
+        monkeypatch.setattr(runner_module, "AdmissionGate", InterruptingGate)
+        started: list[int] = []
+
+        def query_fn(index, question, certify, heartbeat):
+            started.append(index)
+            time.sleep(0.05)
+            return pipeline.query(small_model, question, certify=False)
+
+        config = JobConfig(max_workers=1, handle_signals=False)
+        runner = JobRunner(pipeline, small_model, config, query_fn=query_fn)
+        with pytest.raises(KeyboardInterrupt):
+            runner.run(QUESTIONS)
+        at_raise = list(started)
+        time.sleep(0.2)
+        assert started == at_raise
+        assert started in ([], [0])
 
     def test_runner_aborts_on_keyboard_interrupt(
         self, pipeline, small_model, tmp_path, baseline

@@ -111,8 +111,7 @@ class TestWatchdogScan:
 
 @pytest.fixture(scope="module")
 def baseline(pipeline, small_model):
-    batch = pipeline.query_batch(small_model, QUESTIONS, max_workers=1)
-    return [_trace(o) for o in batch.outcomes]
+    return [_trace(pipeline.query(small_model, q)) for q in QUESTIONS]
 
 
 def _run_with_hang(pipeline, small_model, on_hang, **config_kwargs):

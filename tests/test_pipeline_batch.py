@@ -95,7 +95,7 @@ class TestBatchDeterminism:
         assert len(batch) == 3
         assert [o.question for o in batch] == DISTINCT_QUERIES[:3]
         as_dict = batch.as_dict()
-        assert as_dict["queries"] == 3
+        assert as_dict["questions"] == 3
         assert sum(as_dict["verdicts"].values()) == 3
         assert "cache_hit_rate" in as_dict["metrics"]
         assert "queries in" in batch.summary()

@@ -8,6 +8,7 @@ robustness satellites (corrupt persisted caches, atomic flush).
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -347,6 +348,33 @@ class TestCachePersistenceRobustness:
         assert persisted == {prompt_fingerprint("some prompt"): completion}
         reloaded = CachedLLM(EchoLLM(), cache_path=path)
         assert len(reloaded) == 1
+
+    def test_flush_fsyncs_payload_before_rename(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.json"
+        llm = CachedLLM(EchoLLM(), cache_path=path)
+        llm.complete("some prompt")
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            info = os.fstat(fd)
+            events.append(("fsync", info.st_ino, info.st_size))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            info = os.stat(src)
+            events.append(("replace", info.st_ino, info.st_size))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        llm.flush()
+        renamed = [e for e in events if e[0] == "replace"]
+        assert len(renamed) == 1
+        (_, inode, size) = renamed[0]
+        assert size == path.stat().st_size > 0
+        synced = events.index(("fsync", inode, size))
+        assert synced < events.index(renamed[0])
 
     def test_flush_replaces_rather_than_truncates(self, tmp_path):
         path = tmp_path / "cache.json"
